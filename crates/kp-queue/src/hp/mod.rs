@@ -49,14 +49,15 @@
 //!
 //! ## Node reuse
 //!
-//! Disposal feeds `hp::pool`: a shared steal-all freelist plus a
-//! per-handle cache, making steady-state HP operations allocation-free
-//! just like the epoch variant's `RetireCache`. With
+//! Disposal feeds the queue's node pool (`crate::pool`), the same
+//! steal-all freelist the epoch variant uses: only the admission rule
+//! differs (the two-token gate here, epoch maturity there). Handles
+//! allocate from a small stash refilled from the pool, making
+//! steady-state HP operations allocation-free. With
 //! `Config::reuse_nodes` off, disposal falls through to the allocator —
 //! the ablation baseline.
 
 mod handle;
-mod pool;
 mod queue;
 mod types;
 

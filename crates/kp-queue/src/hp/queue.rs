@@ -15,7 +15,7 @@
 //!    (the new sentinel) rather than couriering the value through a
 //!    descriptor (§3.4's copy). The owner's epilogue dereferences that
 //!    node hazard-free, protected by the two-token disposal gate on the
-//!    node (`hp::pool`): the node cannot be freed or recycled before
+//!    node (`reclaim_into_pool`): the node cannot be freed or recycled before
 //!    the owner's `TOKEN_CONSUMED` fetch_or, which the owner itself
 //!    performs after taking the value.
 //!
@@ -33,13 +33,18 @@ use crate::chaos_hooks::inject;
 use crate::config::{Config, PhasePolicy};
 use crate::desc::StateSlot;
 use crate::hp::handle::WfHpHandle;
-use crate::hp::pool::{reclaim_into_pool, NodePool};
 use crate::hp::types::{
     NodeHp, FAST_DEQUEUER, FAST_ENQUEUER, H_NEXT, H_NODE, H_SLOTS, NO_DEQUEUER, TOKEN_CONSUMED,
     TOKEN_RECLAIM_READY,
 };
+use crate::pool::NodePool;
 use crate::queue::FastDeq;
 use crate::stats::{Stats, StatsSnapshot};
+
+/// Pool size bound. Releases push single nodes (or, at handle exit, a
+/// stash of at most `LOCAL_CAP + 1`), so the pool stays within a stash
+/// of the bound.
+const POOL_CAP: usize = 256;
 
 /// The Kogan–Petrank wait-free queue with hazard-pointer reclamation
 /// (paper §3.4): both the queue operations *and* memory management are
@@ -58,7 +63,7 @@ pub struct WfQueueHp<T> {
     /// valid if the queue value moves, and declared *after* `domain` so
     /// it drops later: `Domain::drop` reclaims leftover orphans, and
     /// those reclaims release into this pool.
-    pool: Box<NodePool<T>>,
+    pool: Box<NodePool<NodeHp<T>>>,
     pub(crate) ids: IdPool,
     /// `hazard::Participant::record_token` of each slot's current
     /// handle, written at registration, cleared by handle drop or by
@@ -107,7 +112,7 @@ impl<T: Send> WfQueueHp<T> {
                 .into_boxed_slice(),
             phase_counter: CachePadded::new(AtomicI64::new(0)),
             domain: Domain::new(H_SLOTS),
-            pool: Box::new(NodePool::new(config.reuse_nodes)),
+            pool: Box::new(NodePool::new(config.reuse_nodes, POOL_CAP)),
             ids: IdPool::new(max_threads),
             hp_tokens: (0..max_threads)
                 .map(|_| CachePadded::new(AtomicUsize::new(0)))
@@ -142,7 +147,7 @@ impl<T: Send> WfQueueHp<T> {
     }
 
     /// The queue's node freelist (dequeue epilogues release through it).
-    pub(crate) fn pool(&self) -> &NodePool<T> {
+    pub(crate) fn pool(&self) -> &NodePool<NodeHp<T>> {
         &self.pool
     }
 
@@ -217,9 +222,9 @@ impl<T: Send> WfQueueHp<T> {
 
     /// Hands an unlinked sentinel to reclamation. The disposal runs
     /// through the node's token gate so the dequeue owner's hazard-free
-    /// epilogue dereference stays safe (see `hp::pool`).
+    /// epilogue dereference stays safe (see [`reclaim_into_pool`]).
     fn retire_node(&self, p: &mut Participant<'_>, node: *mut NodeHp<T>) {
-        let ctx = (&*self.pool as *const NodePool<T> as *mut NodePool<T>).cast();
+        let ctx = (&*self.pool as *const NodePool<NodeHp<T>> as *mut NodePool<NodeHp<T>>).cast();
         // SAFETY: `node` was unlinked by the unique head-CAS winner and
         // is retired once; `ctx` outlives every reclaim (the pool Box
         // drops after the domain — field order above).
@@ -843,6 +848,34 @@ impl<T: Send> ConcurrentQueue<T> for WfQueueHp<T> {
             0
         }
     }
+}
+
+/// The disposal half of the token gate, handed to
+/// `Participant::retire_with` when a sentinel is unlinked: called by
+/// whichever scan finds the node uncovered by hazards.
+///
+/// # Safety
+///
+/// `ptr` is the retired `NodeHp<T>`, `ctx` the queue's
+/// `NodePool<NodeHp<T>>`; both outlive the call (the pool is dropped
+/// after the hazard domain — field order in `WfQueueHp`).
+pub(crate) unsafe fn reclaim_into_pool<T>(ptr: *mut u8, ctx: *mut u8) {
+    let node = ptr.cast::<NodeHp<T>>();
+    // SAFETY: caller contract.
+    let pool = unsafe { &*ctx.cast::<NodePool<NodeHp<T>>>() };
+    // SAFETY: node is retired, so it stays allocated until both tokens
+    // are observed; the fetch_or is the observation.
+    let prev = unsafe { (*node).tokens.fetch_or(TOKEN_RECLAIM_READY, Ordering::AcqRel) };
+    if prev & TOKEN_CONSUMED != 0 {
+        // SAFETY: both tokens set — nobody else can touch the node: the
+        // scan cleared it of hazards and the owner is done with the
+        // value (its fetch_or happened-before ours).
+        unsafe { pool.release(node) };
+    }
+    // else: the dequeue owner has not consumed the value yet; its
+    // CONSUMED fetch_or will observe our bit and release. If the owner
+    // died mid-operation the node stays in limbo — the bounded
+    // kill-window leak documented in DESIGN.md.
 }
 
 impl<T> Drop for WfQueueHp<T> {

@@ -321,3 +321,34 @@ fn depth_hint_tracks_residency_at_quiescence() {
     assert_eq!(q.drained_hint(), Some(8));
     assert_eq!(q.capacity_hint(), None, "unbounded engine");
 }
+
+#[test]
+fn token_gate_disposes_exactly_once() {
+    use crate::hp::queue::reclaim_into_pool;
+    use crate::hp::types::{NodeHp, TOKEN_CONSUMED, TOKEN_RECLAIM_READY};
+    use crate::pool::NodePool;
+    use kp_sync::atomic::Ordering;
+
+    let pool: NodePool<NodeHp<u32>> = NodePool::new(true, 16);
+    let ctx = &pool as *const NodePool<NodeHp<u32>> as *mut u8;
+    // Order 1: scan first (READY), then owner consumes. The scan must
+    // NOT release; the owner's fetch_or sees READY and does.
+    let n = NodeHp::boxed(Some(7), 0);
+    // SAFETY: `n` is live; this simulates the scan's disposal call.
+    unsafe { reclaim_into_pool::<u32>(n.cast(), ctx) };
+    assert!(pool.steal().is_null(), "not yet");
+    // SAFETY: `n` is still live — the two-token gate is not yet complete.
+    let prev = unsafe { (*n).tokens.fetch_or(TOKEN_CONSUMED, Ordering::AcqRel) };
+    assert_eq!(prev, TOKEN_RECLAIM_READY);
+    // SAFETY: owner epilogue — `n` carries both tokens; the pool takes ownership.
+    unsafe { pool.release(n) }; // what the owner's epilogue does
+    assert_eq!(pool.steal(), n);
+    // Order 2: owner first, then scan releases.
+    // SAFETY: `n` was stolen back above; the test owns it exclusively.
+    unsafe { (*n).tokens.store(TOKEN_CONSUMED, Ordering::Relaxed) };
+    // SAFETY: reverse order — the scan's disposal runs after the owner's token.
+    unsafe { reclaim_into_pool::<u32>(n.cast(), ctx) };
+    assert_eq!(pool.steal(), n, "scan observed CONSUMED and released");
+    // SAFETY: `n` left the pool via steal; freed exactly once.
+    unsafe { drop(Box::from_raw(n)) };
+}

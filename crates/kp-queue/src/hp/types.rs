@@ -15,6 +15,7 @@ use std::ptr;
 use kp_sync::atomic::{AtomicIsize, AtomicPtr, AtomicU8};
 
 pub(crate) use crate::node::{FAST_DEQUEUER, FAST_ENQUEUER, NO_DEQUEUER};
+use crate::pool::PoolNode;
 
 /// Hazard slot index for the head/tail anchor node.
 pub(crate) const H_NODE: usize = 0;
@@ -39,7 +40,7 @@ pub(crate) const TOKEN_RECLAIM_READY: u8 = 2;
 /// old `ManuallyDrop` courier: exactly one thread (the dequeue owner
 /// whose completed descriptor word points at this node) `take`s it, and
 /// the two-token disposal gate in `tokens` keeps the node allocated
-/// until that happened (see `hp::pool`). A node freed with its value
+/// until that happened (see `hp::queue::reclaim_into_pool`). A node freed with its value
 /// still present (queue teardown) drops the `Option<T>` normally.
 #[repr(align(64))]
 pub(crate) struct NodeHp<T> {
@@ -58,10 +59,16 @@ pub(crate) struct NodeHp<T> {
     /// Two-token disposal gate: [`TOKEN_CONSUMED`] |
     /// [`TOKEN_RECLAIM_READY`]. Whichever `fetch_or` observes the other
     /// bit already set releases the node (see
-    /// `hp::pool::reclaim_into_pool` and the dequeue epilogue).
+    /// `hp::queue::reclaim_into_pool` and the dequeue epilogue).
     pub(crate) tokens: AtomicU8,
     /// Freelist link; meaningful only while the pool owns the node.
     pub(crate) free_next: AtomicPtr<NodeHp<T>>,
+}
+
+impl<T> PoolNode for NodeHp<T> {
+    fn free_link(&self) -> &AtomicPtr<Self> {
+        &self.free_next
+    }
 }
 
 impl<T> NodeHp<T> {

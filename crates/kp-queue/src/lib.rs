@@ -59,8 +59,11 @@
 //!   swing enter a per-handle cache tagged with the retirement epoch
 //!   and are reused once `tag + 2 <= global_epoch()` — exactly the
 //!   maturity rule [crossbeam-epoch] applies before *freeing*, so
-//!   recycling is sound wherever freeing would have been. Overflow and
-//!   handle exit fall back to `defer_destroy`.
+//!   recycling is sound wherever freeing would have been. Matured nodes
+//!   a thread cannot reuse itself (a consumer's) move in chains to a
+//!   queue-wide node pool that other threads' enqueues steal from — the
+//!   same pool the [`hp`] variant fills through its token gate.
+//!   Overflow and handle exit fall back to `defer_destroy`.
 //!
 //! Epoch reclamation is lock-free rather than wait-free; the paper's
 //! fully wait-free answer (hazard pointers) backs the [`hp`] variant in
@@ -133,6 +136,7 @@ mod desc;
 mod handle;
 pub mod hp;
 mod node;
+mod pool;
 mod queue;
 mod reap;
 mod recycle;

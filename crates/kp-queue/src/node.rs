@@ -1,9 +1,12 @@
 //! The linked-list node (paper Figure 1, `class Node`).
 
 use std::cell::UnsafeCell;
-use kp_sync::atomic::AtomicIsize;
+use std::ptr;
+use kp_sync::atomic::{AtomicIsize, AtomicPtr};
 
 use crossbeam_epoch::Atomic;
+
+use crate::pool::PoolNode;
 
 /// `deqTid`'s "unlocked" value.
 pub(crate) const NO_DEQUEUER: isize = -1;
@@ -50,6 +53,15 @@ pub(crate) struct Node<T> {
     /// for the initial sentinel (never a dangling node, so never read).
     pub(crate) enq_tid: usize,
     pub(crate) deq_tid: AtomicIsize,
+    /// Freelist link; meaningful only while the node is matured and
+    /// on a retire-cache chain, the queue's `NodePool` or a stash.
+    pub(crate) free_next: AtomicPtr<Node<T>>,
+}
+
+impl<T> PoolNode for Node<T> {
+    fn free_link(&self) -> &AtomicPtr<Self> {
+        &self.free_next
+    }
 }
 
 impl<T> Node<T> {
@@ -59,6 +71,7 @@ impl<T> Node<T> {
             next: Atomic::null(),
             enq_tid,
             deq_tid: AtomicIsize::new(NO_DEQUEUER),
+            free_next: AtomicPtr::new(ptr::null_mut()),
         }
     }
 
@@ -93,5 +106,7 @@ mod tests {
     fn node_alignment_matches_the_packed_word() {
         assert_eq!(std::mem::align_of::<Node<u8>>(), crate::desc::NODE_ALIGN);
         assert!(std::mem::align_of::<Node<[u64; 9]>>() >= crate::desc::NODE_ALIGN);
+        // The free-list link rides in the alignment padding.
+        assert_eq!(std::mem::size_of::<Node<u64>>(), 64);
     }
 }

@@ -41,6 +41,7 @@ use crate::config::{Config, PhasePolicy};
 use crate::desc::StateSlot;
 use crate::handle::WfHandle;
 use crate::node::{Node, FAST_DEQUEUER, FAST_ENQUEUER, NO_DEQUEUER};
+use crate::pool::NodePool;
 use crate::recycle::RetireCache;
 use crate::stats::{Stats, StatsSnapshot};
 
@@ -69,6 +70,9 @@ pub struct WfQueue<T> {
     pub(crate) epoch_tokens: Box<[CachePadded<AtomicUsize>]>,
     pub(crate) config: Config,
     pub(crate) stats: Stats,
+    /// Matured nodes handed over by full retire caches, stolen by the
+    /// handles whose own caches cannot feed their enqueues.
+    pub(crate) pool: NodePool<Node<T>>,
 }
 
 // SAFETY: all cross-thread traffic goes through atomics. The only
@@ -122,6 +126,7 @@ impl<T: Send> WfQueue<T> {
                 .into_boxed_slice(),
             config,
             stats: Stats::default(),
+            pool: NodePool::new(config.reuse_nodes, crate::recycle::POOL_CAP),
         };
         // SAFETY: the queue is not yet shared.
         let guard = unsafe { epoch::unprotected() };
@@ -142,9 +147,16 @@ impl<T: Send> WfQueue<T> {
         self.state.len()
     }
 
-    /// A copy of the queue's helping statistics.
+    /// A copy of the queue's helping statistics. `cache_overflows`
+    /// includes the shared pool's over-cap frees.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        #[allow(unused_mut)]
+        let mut snapshot = self.stats.snapshot();
+        #[cfg(feature = "stats")]
+        {
+            snapshot.cache_overflows += self.pool.overflows();
+        }
+        snapshot
     }
 
     /// Approximate number of elements (O(n) walk; diagnostics only).
@@ -525,7 +537,7 @@ impl<T: Send> WfQueue<T> {
             {
                 // SAFETY: `first` is now unreachable from the queue and
                 // retired exactly once (by the unique CAS winner).
-                if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard) } {
+                if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard, &self.pool) } {
                     Stats::bump(&self.stats.cache_overflows);
                 }
             }
@@ -562,7 +574,7 @@ impl<T: Send> WfQueue<T> {
                 {
                     // SAFETY: `first` is now unreachable from the queue
                     // and retired exactly once (by the unique CAS winner).
-                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard) } {
+                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard, &self.pool) } {
                         Stats::bump(&self.stats.cache_overflows);
                     }
                 }
@@ -915,7 +927,7 @@ impl<T: Send> WfQueue<T> {
                 {
                     // SAFETY: `first` is now unreachable and retired
                     // exactly once (by the unique CAS winner).
-                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard) } {
+                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard, &self.pool) } {
                         Stats::bump(&self.stats.cache_overflows);
                     }
                 }
@@ -983,12 +995,13 @@ impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
         }
     }
 
-    /// The PR-6 memory-pressure signal: retire-cache overflows pushed
-    /// to the shared epoch collector. Zero with `stats` off.
+    /// The memory-pressure signal: retire-cache overflows pushed to
+    /// the epoch collector plus the pool's over-cap frees — the same
+    /// composition as [`WfQueue::stats`]. Zero with `stats` off.
     fn pressure_hint(&self) -> u64 {
         #[cfg(feature = "stats")]
         {
-            self.stats.cache_overflows.load(Ordering::Relaxed)
+            self.stats.cache_overflows.load(Ordering::Relaxed) + self.pool.overflows()
         }
         #[cfg(not(feature = "stats"))]
         {

@@ -79,9 +79,10 @@ pub(crate) struct Stats {
     /// Epoch participants / hazard records force-quarantined by reaps.
     pub(crate) quarantines: Counter,
     /// Memory-pressure backpressure: nodes pushed out of a full
-    /// `RetireCache` to the shared epoch collector, or released past a
-    /// full HP `NodePool` to the allocator. Growth beyond the caps is
-    /// degraded to reclamation work instead of unbounded caching.
+    /// `RetireCache` to the shared epoch collector. The queues' `stats`
+    /// add the nodes their `NodePool` freed past its cap. Growth beyond
+    /// the caps is degraded to reclamation work instead of unbounded
+    /// caching.
     pub(crate) cache_overflows: Counter,
 }
 

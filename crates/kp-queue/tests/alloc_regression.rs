@@ -14,7 +14,10 @@
 //! same binary (the default harness behaviour) would make a strict
 //! zero-delta assertion racy.
 
-use kp_queue::{Config, ConcurrentQueue, WfQueue, WfQueueHp};
+use std::sync::Barrier;
+
+use kp_queue::{Config, ConcurrentQueue, QueueHandle, WfQueue, WfQueueHp};
+use kp_sync::atomic::{AtomicU64, Ordering};
 
 #[global_allocator]
 static ALLOC: alloc_track::TrackingAlloc = alloc_track::TrackingAlloc;
@@ -154,6 +157,90 @@ fn steady_state_is_allocation_free() {
         "epoch variant did not recover the allocation-free steady state \
          after contention: {allocs} allocations in {WINDOW} pairs"
     );
+    drop(h);
+    drop(q);
+
+    // --- Role split: one producer thread, one consumer thread --------
+    // Nodes retire on the consumer and are needed on the producer, so
+    // only the queue's shared node pool can carry them back. Without it
+    // the epoch variant allocated one node per message (the consumer's
+    // cache overflowed into the collector) while the HP variant's pool
+    // already recycled.
+    let q: WfQueue<u64> = WfQueue::with_config(2, Config::fast());
+    let epoch_rate = role_split_allocs_per_msg(&q);
+    let q: WfQueueHp<u64> = WfQueueHp::with_config(2, Config::fast());
+    let hp_rate = role_split_allocs_per_msg(&q);
+    eprintln!("role split allocs/msg: epoch {epoch_rate:.4}, hp {hp_rate:.4}");
+    assert!(
+        epoch_rate < 0.25,
+        "epoch variant, 1 producer + 1 consumer: {epoch_rate:.3} allocs/msg"
+    );
+    assert!(
+        hp_rate < 0.25,
+        "HP variant, 1 producer + 1 consumer: {hp_rate:.3} allocs/msg"
+    );
+}
+
+/// Messages each producer may run ahead of its consumer. Bounding the
+/// backlog is what makes a steady state exist: nodes still queued are
+/// live and cannot be recycled by anyone.
+const MAX_BACKLOG: u64 = 64;
+
+/// One producer thread enqueues and one consumer thread dequeues
+/// `WARMUP` then `WINDOW` messages; returns heap allocations per
+/// message in the second phase. Both threads meet at barriers around
+/// the window so spawn, registration and handle exit stay outside it.
+fn role_split_allocs_per_msg<Q>(q: &Q) -> f64
+where
+    Q: ConcurrentQueue<u64> + Sync,
+{
+    let (warm, total) = (WARMUP as u64, (WARMUP + WINDOW) as u64);
+    let received = AtomicU64::new(0);
+    let gate = Barrier::new(3);
+    let mut allocs = 0;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut h = q.register().unwrap();
+            for i in 0..total {
+                if i == warm {
+                    gate.wait(); // warm-up done
+                    gate.wait(); // window opened
+                }
+                while i - received.load(Ordering::Acquire) >= MAX_BACKLOG {
+                    std::thread::yield_now();
+                }
+                h.enqueue(i);
+            }
+            gate.wait(); // all sent
+            gate.wait(); // window closed
+        });
+        s.spawn(|| {
+            let mut h = q.register().unwrap();
+            for i in 0..total {
+                if i == warm {
+                    gate.wait();
+                    gate.wait();
+                }
+                let v = loop {
+                    match h.dequeue() {
+                        Some(v) => break v,
+                        None => std::hint::spin_loop(),
+                    }
+                };
+                assert_eq!(v, i, "single producer: FIFO");
+                received.store(i + 1, Ordering::Release);
+            }
+            gate.wait();
+            gate.wait();
+        });
+        gate.wait();
+        let before = alloc_track::total_allocs();
+        gate.wait();
+        gate.wait();
+        allocs = alloc_track::total_allocs() - before;
+        gate.wait();
+    });
+    allocs as f64 / WINDOW as f64
 }
 
 /// Warm the queue with one full round, then count process-wide heap

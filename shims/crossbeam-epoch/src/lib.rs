@@ -680,6 +680,18 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc as StdArc;
 
+    /// Serialises the tests that pin: the epoch is process-global, so a
+    /// test that wedges it (a leaked pin, a participant pinned across a
+    /// thread's lifetime) or waits for it to advance must not overlap
+    /// another test's pins in this binary. Poisoning is ignored — a
+    /// failed test must not fail the rest.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     struct CountsDrops(StdArc<AtomicUsize>);
     impl Drop for CountsDrops {
         fn drop(&mut self) {
@@ -699,6 +711,7 @@ mod tests {
 
     #[test]
     fn pinned_defer_waits_for_epochs() {
+        let _serial = serial();
         let drops = StdArc::new(AtomicUsize::new(0));
         let a = Atomic::new(CountsDrops(drops.clone()));
         {
@@ -721,6 +734,7 @@ mod tests {
 
     #[test]
     fn quarantine_unwedges_a_leaked_pin() {
+        let _serial = serial();
         // A thread leaks a Guard and parks forever: it stays pinned at
         // its entry epoch, so the global epoch can never advance more
         // than one step past it. Quarantining the participant removes
@@ -767,6 +781,7 @@ mod tests {
 
     #[test]
     fn stale_token_never_matches_a_new_participant() {
+        let _serial = serial();
         // Regression: tokens used to be raw Arc addresses of registry
         // slots, so a dead thread's freed slot could be reallocated at
         // the same address for a new thread and the stale token would
@@ -807,6 +822,7 @@ mod tests {
 
     #[test]
     fn cas_failure_returns_ownership() {
+        let _serial = serial();
         let drops = StdArc::new(AtomicUsize::new(0));
         let a = Atomic::new(CountsDrops(drops.clone()));
         let guard = pin();
@@ -829,6 +845,7 @@ mod tests {
 
     #[test]
     fn concurrent_churn_is_safe() {
+        let _serial = serial();
         let a = StdArc::new(Atomic::new(0u64));
         let mut handles = Vec::new();
         for t in 0..4 {

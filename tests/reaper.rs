@@ -526,25 +526,26 @@ fn epoch_reap_spares_live_handle_sharing_victims_thread() {
 // memory-pressure degradation (tentpole part c)
 // ---------------------------------------------------------------------
 
-/// The epoch retire cache is capped: a dequeue-heavy burst past
-/// `CACHE_CAP` spills to the epoch collector and counts as
-/// backpressure in `cache_overflows`.
+/// The epoch retire cache and the queue's node pool are capped: a
+/// dequeue-heavy burst past both (256 cached + 1024 pooled) spills to
+/// the epoch collector and counts as backpressure in `cache_overflows`.
 #[test]
 fn epoch_retire_cache_overflow_is_counted() {
     let q: WfQueue<u64> = WfQueue::with_config(1, Config::opt_both());
     let mut h = q.register().expect("register");
     // Enqueue-all then dequeue-all: every dequeue retires a sentinel
-    // while no enqueue drains the cache, so it must overflow past 256.
-    for v in 0..600 {
+    // while no enqueue drains the cache or the pool, so the burst must
+    // overflow past their 1280 nodes.
+    for v in 0..2_000 {
         h.enqueue(v);
     }
-    for _ in 0..600 {
+    for _ in 0..2_000 {
         h.dequeue().expect("value present");
     }
     let stats = q.stats();
     assert!(
         stats.cache_overflows >= 1,
-        "600 uninterrupted retirements must overflow a 256-cap cache: {stats:?}"
+        "2000 uninterrupted retirements must overflow the cache and the pool: {stats:?}"
     );
     drop(h);
 }

@@ -511,10 +511,22 @@ fn stalled_hazard_reader_keeps_memory_bounded() {
 /// replaying a completed step onto a brand-new operation. A replayed
 /// append/lock shows up as a duplicated or lost value, which the WGL
 /// linearizability check rejects.
+///
+/// The five-argument form splits roles by virtual ID: `$enq_pct[tid]`
+/// is the share of enqueues tid draws (100 = pure producer, 0 = pure
+/// consumer), and before the recorded window the pure producer sends
+/// `$warm` values that the pure consumer drains, unrecorded, so the
+/// consumer's retired nodes have already crossed the shared node pool
+/// into the producer's stash when the stalled helper's stale CAS fires.
 macro_rules! reuse_aba_round {
-    ($mk_queue:expr, $append_site:literal, $lock_site:literal) => {{
+    ($mk_queue:expr, $append_site:literal, $lock_site:literal) => {
+        reuse_aba_round!($mk_queue, $append_site, $lock_site, [50u64, 50, 50], 0u64)
+    };
+    ($mk_queue:expr, $append_site:literal, $lock_site:literal, $enq_pct:expr, $warm:expr) => {{
         quiet_chaos_kills();
         const THREADS: usize = 3;
+        let enq_pct: [u64; THREADS] = $enq_pct;
+        let warm: u64 = $warm;
         for (hit, yields) in [(2u64, 150u32), (5, 400)] {
             let session = chaos::install(
                 FaultPlan::new()
@@ -525,22 +537,33 @@ macro_rules! reuse_aba_round {
             for round in 0..4u64 {
                 let q = $mk_queue;
                 let recorder = Recorder::new();
+                let warmed = Barrier::new(THREADS);
                 let mut logs = Vec::new();
                 std::thread::scope(|s| {
                     let handles: Vec<_> = (0..THREADS)
                         .map(|t| {
                             let recorder = &recorder;
-                            let q = &q;
+                            let (q, warmed) = (&q, &warmed);
                             s.spawn(move || {
                                 let mut h = q.register().expect("register");
                                 let _token = chaos::register_thread(h.tid());
+                                let pct = enq_pct[h.tid()];
+                                // Unrecorded warm-up; leaves the queue empty.
+                                for i in 0..warm {
+                                    match pct {
+                                        100 => h.enqueue(u64::MAX - i),
+                                        0 => while h.dequeue() != Some(u64::MAX - i) {},
+                                        _ => {}
+                                    }
+                                }
+                                warmed.wait();
                                 let mut log = recorder.log::<QueueOp>(t);
                                 let mut x = (round + 1) ^ (t as u64 + 1) * 0x9E37;
                                 for i in 0..16 {
                                     x ^= x << 13;
                                     x ^= x >> 7;
                                     x ^= x << 17;
-                                    if x % 100 < 50 {
+                                    if x % 100 < pct {
                                         let v = ((t as u64) << 32) | i as u64;
                                         log.record(|| h.enqueue(v), |_| QueueOp::Enqueue(v));
                                     } else {
@@ -587,6 +610,23 @@ fn epoch_stale_helper_cas_defeated_by_version_tag() {
     );
 }
 
+/// Epoch variant with the roles split (tid 1 only enqueues, tid 2 only
+/// dequeues, tid 0 mixes and is the stalled helper): the producer's
+/// nodes are recycled from the consumer's retirements through the
+/// shared pool, so the stale CAS can name a node a *different* thread
+/// retired and republished. 400 warm-up values take the consumer's
+/// retire cache past its flush level, so chains reach the pool.
+#[test]
+fn epoch_role_split_stale_helper_cas_defeated_by_version_tag() {
+    reuse_aba_round!(
+        WfQueue::<u64>::with_config(3, Config::base()),
+        "kp.append",
+        "kp.lock_sentinel",
+        [50, 100, 0],
+        400
+    );
+}
+
 /// Hazard-pointer variant of the same ABA window. Node recycling adds a
 /// second hazard here: the node address packed into the stale word may
 /// have been pooled and republished under a *different* operation, so a
@@ -599,6 +639,102 @@ fn hp_stale_helper_cas_defeated_by_version_tag() {
         "kp_hp.append",
         "kp_hp.lock_sentinel"
     );
+}
+
+/// The shared node pool's two sites, hit by both KP variants.
+const POOL_SITES: &[&str] = &["kp.pool.release", "kp.pool.steal"];
+
+/// One producer and one consumer thread move `WINDOWS` × `PER` values
+/// through one queue while a seeded plan stalls them inside the pool's
+/// hand-off: between a push's link write and its CAS, and before a
+/// steal's swap. Each window starts and ends empty (the threads meet at
+/// a barrier), so every window's recorded history is self-contained
+/// and goes to the WGL checker; the whole run must come out in order,
+/// exactly once. The queue persists across windows, so its retire
+/// caches, pool and stashes carry nodes from window to window.
+macro_rules! pool_handoff_round {
+    ($mk_queue:expr, $seed:expr) => {{
+        const WINDOWS: usize = 48;
+        const PER: u64 = 64;
+        let q = $mk_queue;
+        let recorder = Recorder::new();
+        let window = Barrier::new(2);
+        let (producer_logs, (consumer_logs, got)) = std::thread::scope(|s| {
+            let producer = s.spawn(|| {
+                let mut h = q.register().expect("register");
+                let _token = chaos::register_thread(h.tid());
+                let mut logs = Vec::new();
+                for w in 0..WINDOWS as u64 {
+                    let mut log = recorder.log::<QueueOp>(0);
+                    for v in w * PER..(w + 1) * PER {
+                        log.record(|| h.enqueue(v), |_| QueueOp::Enqueue(v));
+                    }
+                    logs.push(log);
+                    window.wait();
+                }
+                logs
+            });
+            let consumer = s.spawn(|| {
+                let mut h = q.register().expect("register");
+                let _token = chaos::register_thread(h.tid());
+                let (mut logs, mut got) = (Vec::new(), Vec::new());
+                for _ in 0..WINDOWS {
+                    let mut log = recorder.log::<QueueOp>(1);
+                    let mut left = PER;
+                    while left > 0 {
+                        match log.record(|| h.dequeue(), |r| QueueOp::Dequeue(*r)) {
+                            Some(v) => {
+                                got.push(v);
+                                left -= 1;
+                            }
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                    logs.push(log);
+                    window.wait();
+                }
+                (logs, got)
+            });
+            (producer.join().unwrap(), consumer.join().unwrap())
+        });
+        let sent: Vec<u64> = (0..WINDOWS as u64 * PER).collect();
+        verify_consumed(&[got], std::slice::from_ref(&sent), sent.len(), 0);
+        for (w, logs) in producer_logs.into_iter().zip(consumer_logs).enumerate() {
+            let history = History::from_logs([logs.0, logs.1]);
+            assert!(history.validate_stamps());
+            match check(&QueueModel, &history) {
+                Outcome::Linearizable => {}
+                Outcome::NotLinearizable => panic!(
+                    "seed {}: window {w} under pool stalls is NOT linearizable:\n{:#?}",
+                    $seed,
+                    history.ops()
+                ),
+                Outcome::Unknown => panic!("seed {}: checker budget exhausted", $seed),
+            }
+        }
+    }};
+}
+
+/// Seeded stalls at the pool's release and steal sites against a
+/// one-producer / one-consumer split on both variants: the epoch
+/// queue's consumer flushes matured chains that the producer steals,
+/// the HP queue's hazard scans release single nodes into the producer's
+/// refills. Per-producer FIFO, exactly-once and linearizability must
+/// all survive a stalled push racing a steal.
+#[test]
+fn pool_handoff_survives_seeded_stalls_on_both_variants() {
+    quiet_chaos_kills();
+    for seed in [5u64, 77, 2024, 0x9001] {
+        let session = chaos::install(FaultPlan::seeded(seed, POOL_SITES, 2, 8));
+        pool_handoff_round!(WfQueue::<u64>::with_config(2, Config::fast()), seed);
+        pool_handoff_round!(WfQueueHp::<u64>::with_config(2, Config::fast()), seed);
+        let report = session.report();
+        assert!(
+            report.stalls > 0,
+            "seeded plan must stall in the pool (seed {seed})"
+        );
+        report.assert_linear_bound(2, 400, 200);
+    }
 }
 
 /// Deterministic replay: the same plan against the same workload gives
