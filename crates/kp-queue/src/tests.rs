@@ -1,7 +1,28 @@
 //! Unit tests for the wait-free queue, run over every paper variant.
 
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 use crate::{Config, ConcurrentQueue, HelpPolicy, PhasePolicy, WfQueue};
 use queue_traits::testing;
+
+/// The epoch is process-global, so tests in this binary share it: a
+/// test that counts the collector nudges it takes to ripen a node holds
+/// this lock exclusively, and every test that pins (any `WfQueue`
+/// operation) holds it shared, so no concurrent pin can hold the epoch
+/// back. Poisoning is ignored — a failed test must not fail the rest.
+static EPOCH: RwLock<()> = RwLock::new(());
+
+pub(crate) fn epoch_shared() -> RwLockReadGuard<'static, ()> {
+    EPOCH
+        .read()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+pub(crate) fn epoch_exclusive() -> RwLockWriteGuard<'static, ()> {
+    EPOCH
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// All four paper variants plus the random-chunk and validation
 /// enhancements — every behavioural test runs on each.
@@ -23,6 +44,7 @@ fn all_configs() -> Vec<Config> {
 
 #[test]
 fn sequential_fifo_all_variants() {
+    let _epoch = epoch_shared();
     for cfg in all_configs() {
         let q: WfQueue<u64> = WfQueue::with_config(4, cfg);
         testing::check_sequential_fifo(&q);
@@ -31,6 +53,7 @@ fn sequential_fifo_all_variants() {
 
 #[test]
 fn mpmc_conservation_all_variants() {
+    let _epoch = epoch_shared();
     for cfg in all_configs() {
         let q: WfQueue<u64> = WfQueue::with_config(8, cfg);
         testing::check_mpmc_conservation(&q, 4, 4, testing::scaled(3_000));
@@ -39,6 +62,7 @@ fn mpmc_conservation_all_variants() {
 
 #[test]
 fn owned_payloads_base_and_opt() {
+    let _epoch = epoch_shared();
     for cfg in [Config::base(), Config::opt_both()] {
         let q: WfQueue<Box<u64>> = WfQueue::with_config(4, cfg);
         testing::check_owned_payloads(&q, 4);
@@ -47,6 +71,7 @@ fn owned_payloads_base_and_opt() {
 
 #[test]
 fn registration_capacity_is_enforced() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::new(3);
     testing::check_registration_capacity(&q, 3);
     assert_eq!(q.thread_capacity(), 3);
@@ -54,6 +79,7 @@ fn registration_capacity_is_enforced() {
 
 #[test]
 fn empty_dequeue_returns_none_repeatedly() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::with_config(2, Config::base());
     let mut h = q.register().unwrap();
     for _ in 0..10 {
@@ -66,6 +92,7 @@ fn empty_dequeue_returns_none_repeatedly() {
 
 #[test]
 fn values_survive_handle_churn() {
+    let _epoch = epoch_shared();
     // Handles coming and going (virtual-ID reuse, §3.3) must not disturb
     // resident values.
     let q: WfQueue<u64> = WfQueue::new(2);
@@ -90,6 +117,7 @@ fn values_survive_handle_churn() {
 
 #[test]
 fn len_and_is_empty() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::new(2);
     assert!(q.is_empty());
     assert_eq!(q.len_approx(), 0);
@@ -105,6 +133,7 @@ fn len_and_is_empty() {
 
 #[test]
 fn drop_releases_resident_values() {
+    let _epoch = epoch_shared();
     use kp_sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     struct CountDrop(Arc<AtomicUsize>);
@@ -135,6 +164,7 @@ fn drop_releases_resident_values() {
 
 #[test]
 fn phase_numbers_increase_monotonically() {
+    let _epoch = epoch_shared();
     // The doorway property behind wait-freedom: each operation's phase
     // exceeds all phases chosen before it (single-threaded here, so the
     // property must hold exactly).
@@ -155,6 +185,7 @@ fn phase_numbers_increase_monotonically() {
 
 #[test]
 fn stalled_enqueue_is_completed_by_helper() {
+    let _epoch = epoch_shared();
     // The central helping property: a thread that stalls right after
     // publishing its descriptor (paper L63) still gets its operation
     // applied, by any other thread running an operation with a larger
@@ -181,6 +212,7 @@ fn stalled_enqueue_is_completed_by_helper() {
 
 #[test]
 fn stalled_dequeue_is_completed_by_helper() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::with_config(4, Config::base());
     let mut stalled = q.register().unwrap();
     let mut helper = q.register().unwrap();
@@ -207,6 +239,7 @@ fn stalled_dequeue_is_completed_by_helper() {
 
 #[test]
 fn stalled_dequeue_on_empty_queue_observes_empty() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::with_config(4, Config::base());
     let mut stalled = q.register().unwrap();
     let mut helper = q.register().unwrap();
@@ -223,6 +256,7 @@ fn stalled_dequeue_on_empty_queue_observes_empty() {
 
 #[test]
 fn abandoned_pending_op_is_driven_to_completion() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::with_config(2, Config::base());
     let mut h = q.register().unwrap();
     {
@@ -234,6 +268,7 @@ fn abandoned_pending_op_is_driven_to_completion() {
 
 #[test]
 fn helping_occurs_under_contention() {
+    let _epoch = epoch_shared();
     // Statistical version of the stalled-thread tests: with many threads
     // hammering a base-config queue, some linearization steps are
     // executed by helpers. The allocation-free hot path made single
@@ -268,6 +303,7 @@ fn helping_occurs_under_contention() {
 
 #[test]
 fn cyclic_chunk_never_starves_own_op() {
+    let _epoch = epoch_shared();
     // With chunk=1 and many slots, a thread mostly helps others; its own
     // op must still complete every time.
     let q: WfQueue<u64> = WfQueue::with_config(16, Config::opt_both());
@@ -280,6 +316,7 @@ fn cyclic_chunk_never_starves_own_op() {
 
 #[test]
 fn lemma_1_and_2_exactly_once() {
+    let _epoch = epoch_shared();
     // The paper's Lemmas 1 and 2: for every enqueue, step 1 (the L74
     // append CAS) succeeds exactly once; for every successful dequeue,
     // step 1 (the L135 deqTid CAS) succeeds exactly once — even though
@@ -321,6 +358,7 @@ fn lemma_1_and_2_exactly_once() {
 
 #[test]
 fn exit_with_pending_enqueue_publishes_dummy_descriptor() {
+    let _epoch = epoch_shared();
     // §3.3 "dummy descriptor on exit": a handle dropped while its enqueue
     // is still pending must complete the operation and leave the state
     // slot idle, so the value lands and the slot is immediately reusable.
@@ -342,6 +380,7 @@ fn exit_with_pending_enqueue_publishes_dummy_descriptor() {
 
 #[test]
 fn exit_with_pending_dequeue_publishes_dummy_descriptor() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::new(2);
     {
         let mut h = q.register().unwrap();
@@ -358,6 +397,7 @@ fn exit_with_pending_dequeue_publishes_dummy_descriptor() {
 
 #[test]
 fn slot_reused_after_mid_operation_exit_does_not_wedge() {
+    let _epoch = epoch_shared();
     // The wedge this guards against: with capacity 1, the departing
     // thread's slot is *guaranteed* to be reused. If its pending
     // descriptor were still in place (or an orphaned node appended with
@@ -377,6 +417,7 @@ fn slot_reused_after_mid_operation_exit_does_not_wedge() {
 
 #[test]
 fn fast_path_uncontended_ops_never_fall_back() {
+    let _epoch = epoch_shared();
     // Single-threaded, fast path on: every CAS wins first try, so every
     // operation completes fast and the slow path never runs.
     let q: WfQueue<u64> = WfQueue::with_config(4, Config::fast());
@@ -400,6 +441,7 @@ fn fast_path_uncontended_ops_never_fall_back() {
 
 #[test]
 fn set_fast_path_zero_pins_handle_to_slow_path() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::with_config(4, Config::fast());
     let mut h = q.register().unwrap();
     h.set_fast_path(0);
@@ -414,6 +456,7 @@ fn set_fast_path_zero_pins_handle_to_slow_path() {
 
 #[test]
 fn fast_path_stats_exposed_through_trait() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::with_config(2, Config::fast());
     let mut h = q.register().unwrap();
     h.enqueue(1);
@@ -424,6 +467,7 @@ fn fast_path_stats_exposed_through_trait() {
 
 #[test]
 fn mixed_fast_and_slow_handles_conserve_values() {
+    let _epoch = epoch_shared();
     // Half the threads run fast-path-first, half are pinned slow-only;
     // the descriptor protocol must linearize both kinds together.
     let q: WfQueue<u64> = WfQueue::with_config(8, Config::fast().with_fast_path(2));
@@ -478,6 +522,7 @@ fn mixed_fast_and_slow_handles_conserve_values() {
 
 #[test]
 fn starvation_patience_demotes_into_helping() {
+    let _epoch = epoch_shared();
     // A peer publishes a descriptor and stalls; a fast handle with tiny
     // patience must notice it within `patience` completions, demote
     // itself, and complete the stalled op via the slow path's helping.
@@ -512,6 +557,7 @@ fn starvation_patience_demotes_into_helping() {
 
 #[test]
 fn queue_debug_format_mentions_config() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::new(2);
     let s = format!("{q:?}");
     assert!(s.contains("WfQueue"), "{s}");
@@ -520,6 +566,7 @@ fn queue_debug_format_mentions_config() {
 
 #[test]
 fn many_variants_cross_thread_smoke() {
+    let _epoch = epoch_shared();
     // 2 producers + 2 consumers on every variant, moving enough values
     // to force multiple epoch collections.
     for cfg in all_configs() {
@@ -534,6 +581,7 @@ fn many_variants_cross_thread_smoke() {
 #[cfg(feature = "stats")]
 #[test]
 fn depth_hint_tracks_residency_at_quiescence() {
+    let _epoch = epoch_shared();
     for cfg in all_configs() {
         let q: WfQueue<u64> = WfQueue::with_config(2, cfg);
         assert_eq!(q.depth_hint(), Some(0));
@@ -562,6 +610,7 @@ fn depth_hint_tracks_residency_at_quiescence() {
 #[cfg(not(feature = "stats"))]
 #[test]
 fn depth_hint_unknown_without_stats() {
+    let _epoch = epoch_shared();
     let q: WfQueue<u64> = WfQueue::new(2);
     assert_eq!(q.depth_hint(), None);
     assert_eq!(q.drained_hint(), None);
