@@ -5,10 +5,10 @@
 //! names must exist in the model's step vocabulary (`STEP_NAMES`). The
 //! reverse direction is pinned too: the three linearization-relevant
 //! step families of the paper — the append CAS, the `deqTid` lock CAS,
-//! and the empty observation — must each be claimed by some site in
-//! *both* queue variants' files, so deleting a manifest entry (or
-//! retagging it away from `linearization`) fails here even though the
-//! audit binary itself would still pass.
+//! and the empty observation — must each be claimed by some site in the
+//! one Kogan–Petrank core both reclamation backends run, so deleting a
+//! manifest entry (or retagging it away from `linearization`) fails
+//! here even though the audit binary itself would still pass.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -53,25 +53,25 @@ fn every_linearization_site_names_known_model_steps() {
 }
 
 #[test]
-fn paper_linearization_steps_are_claimed_in_both_variants() {
+fn paper_linearization_steps_are_claimed_by_the_core() {
     let m = manifest();
-    // The paper's linearization structure, per variant: enqueue
-    // linearizes at the append CAS (Append), a successful dequeue at
-    // the deqTid lock CAS (Lock), and an empty dequeue at the empty
-    // observation acknowledged through the descriptor transition
-    // (Stage0Empty).
-    for variant in ["crates/kp-queue/src/queue.rs", "crates/kp-queue/src/hp/queue.rs"] {
+    // The paper's linearization structure: enqueue linearizes at the
+    // append CAS (Append), a successful dequeue at the deqTid lock CAS
+    // (Lock), and an empty dequeue at the empty observation
+    // acknowledged through the descriptor transition (Stage0Empty).
+    // Both the epoch and the hazard-pointer queue run this one core.
+    for variant in ["crates/kp-queue/src/queue.rs"] {
         let claimed: BTreeSet<&str> = m
             .sites
             .iter()
             .filter(|s| s.role == "linearization")
-            // desc.rs descriptor transitions serve both variants.
+            // desc.rs descriptor transitions serve the core too.
             .filter(|s| s.file == variant || s.file == "crates/kp-queue/src/desc.rs")
             .flat_map(|s| s.model_steps.iter().map(String::as_str))
             .collect();
         // The fast path reuses the same three linearization points
         // without a descriptor (DESIGN.md §12); each must be claimed by
-        // a site in both variants too.
+        // a site in the core too.
         for required in ["Append", "Lock", "Stage0Empty", "FastAppend", "FastLock", "FastEmpty"] {
             assert!(
                 claimed.contains(required),

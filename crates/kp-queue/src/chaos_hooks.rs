@@ -9,9 +9,12 @@
 //! nothing and the op-scope functions are empty `#[inline(always)]`
 //! bodies, so the production queue pays zero cost.
 //!
-//! Site names (`kp.*` for the epoch variant, `kp_hp.*` for the
-//! hazard-pointer variant; the shared node pool's two sites are
-//! `kp.pool.*` in both):
+//! The Kogan–Petrank core is written once, but each reclamation backend
+//! names its sites under its own prefix — `kp.*` for the epoch backend
+//! (`WfQueue`), `kp_hp.*` for the hazard-pointer backend (`WfQueueHp`) —
+//! through its `Reclaim::SITES` table (`crate::reclaim::Sites`), so a
+//! fault plan can target one variant. The shared node pool's two sites
+//! are `kp.pool.*` under both:
 //!
 //! | site | window it opens |
 //! |---|---|

@@ -1,34 +1,36 @@
 //! The per-thread handle: operation entry points (paper Figure 4 `enq`,
-//! Figure 6 `deq`) and the §3.3 helping-policy dispatch.
+//! Figure 6 `deq`), the §3.3 helping-policy dispatch, the fast-path
+//! prologue, unwind recovery, handle exit and the reaper's tick —
+//! written once over a [`Reclaim`] backend.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
 
-use crossbeam_epoch::{self as epoch, Guard};
 use idpool::{IdGuard, SlotState};
+use kp_sync::atomic::Ordering;
 use queue_traits::{FastPathStats, QueueHandle};
 
 use crate::chaos_hooks::{self, inject};
 use crate::config::HelpPolicy;
 use crate::node::{Node, FAST_ENQUEUER, NO_DEQUEUER};
 use crate::pool::Stash;
-use crate::queue::{FastDeq, WfQueue};
+use crate::queue::{FastDeq, KpQueue};
 use crate::reap::{Observation, ReapScan};
-use crate::recycle::RetireCache;
+use crate::reclaim::{Reclaim, H_NEXT, H_NODE};
 use crate::stats::Stats;
 
-/// A registered thread's handle to a [`WfQueue`].
+/// A registered thread's handle to a [`KpQueue`]; used through
+/// [`WfHandle`](crate::WfHandle) and [`WfHpHandle`](crate::WfHpHandle).
 ///
 /// Owns a virtual thread ID (`TID` in the paper's listings) for the
 /// handle's lifetime; dropping the handle returns the ID to the pool.
 /// Operations take `&mut self` because a handle embodies *one* thread of
 /// the algorithm — the queue itself may be shared freely.
 ///
-/// The handle also owns the thread's node-reuse state (§3.3 "reuse the
-/// descriptor objects" taken to the node level): sentinels unlinked by
-/// this thread's head swings are recycled into its future enqueues once
-/// the epoch rule proves no reader can still hold them, and what a
-/// dequeue-heavy thread cannot reuse itself reaches other threads'
+/// The handle also owns the thread's reclamation state (its retire
+/// cache, or its hazard record) and a private stash of pool nodes:
+/// enqueues reuse nodes that no other thread can still reach, and what
+/// a dequeue-heavy thread cannot reuse itself reaches other threads'
 /// enqueues through the queue's node pool — making the steady-state
 /// operation path allocation-free even when producers and consumers
 /// are different threads.
@@ -41,17 +43,17 @@ use crate::stats::Stats;
 /// could wedge every other thread: a helper may append the orphaned
 /// node, after which `help_finish_enq`'s descriptor identity check
 /// (L91) can never pass and the tail never advances.
-pub struct WfHandle<'q, T: Send> {
-    queue: &'q WfQueue<T>,
+pub struct KpHandle<'q, T: Send, R: Reclaim> {
+    queue: &'q KpQueue<T, R>,
     id: IdGuard<'q>,
+    /// Reclamation state (see `crate::reclaim`).
+    pub(crate) local: R::Local<'q, T>,
+    /// Nodes stolen from the queue's pool (see `crate::pool`).
+    stash: Stash<Node<T>>,
     /// Next state-array index to examine under `HelpPolicy::Cyclic`.
     cursor: usize,
     /// xorshift64* state for `HelpPolicy::RandomChunk`.
     rng: u64,
-    /// Retired sentinels awaiting reuse (see `crate::recycle`).
-    cache: RetireCache<T>,
-    /// Matured nodes stolen from the queue's pool (see `crate::pool`).
-    stash: Stash<Node<T>>,
     /// Fast-path CAS-failure budget; copied from the queue config,
     /// overridable per handle (see [`set_fast_path`]). `0` = slow only.
     ///
@@ -73,44 +75,37 @@ pub struct WfHandle<'q, T: Send> {
     /// True from a slow dequeue's publish until its epilogue claimed
     /// the result; lets recovery distinguish a completed-but-unclaimed
     /// word (whose value must still be taken and discarded) from an old
-    /// word whose sentinel may be long freed.
+    /// word whose value node may long be reused.
     deq_in_flight: bool,
-    /// Cached `crossbeam_epoch::participant_token()` of the OS thread
-    /// that last ran an operation; mirrored into
-    /// `WfQueue::epoch_tokens[tid]` on change (reaper enabled only).
-    epoch_token: usize,
     /// Reaper scan state (cursor + freeze detector, DESIGN.md §13).
     reap: ReapScan,
 }
 
-// SAFETY: the non-`Send` fields are `inflight`, a node that is by
-// invariant *private* to this handle whenever it is non-null (it is
-// cleared the instant the node is published), and `stash`, whose nodes
-// left the pool into this handle's exclusive ownership; moving the
-// handle moves that ownership with it. Everything else is `Send`.
-unsafe impl<T: Send> Send for WfHandle<'_, T> {}
+// SAFETY: the raw pointers are `inflight`, a node that is by invariant
+// *private* to this handle whenever it is non-null (it is cleared the
+// instant the node is published), and `stash`, whose nodes left the
+// pool into this handle's exclusive ownership; the backend state owns
+// its nodes the same way. Moving the handle moves that ownership.
+unsafe impl<T: Send, R: Reclaim> Send for KpHandle<'_, T, R> {}
 
-impl<'q, T: Send> WfHandle<'q, T> {
-    pub(crate) fn new(queue: &'q WfQueue<T>, id: IdGuard<'q>) -> Self {
+impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
+    pub(crate) fn new(queue: &'q KpQueue<T, R>, id: IdGuard<'q>, local: R::Local<'q, T>) -> Self {
         let tid = id.id();
-        WfHandle {
+        let n = queue.max_threads();
+        KpHandle {
             queue,
             id,
-            cursor: (tid + 1) % queue.max_threads(),
+            local,
+            stash: Stash::new(),
+            cursor: (tid + 1) % n,
             // Any nonzero seed works; derive from the slot for variety.
             rng: 0x9E37_79B9_7F4A_7C15 ^ ((tid as u64 + 1) << 17),
-            cache: RetireCache::new(queue.config().reuse_nodes),
-            stash: Stash::new(),
-            max_fast_failures: queue.config().max_fast_failures,
+            max_fast_failures: queue.config.max_fast_failures,
             fast_streak: 0,
             local_stats: FastPathStats::default(),
             inflight: ptr::null_mut(),
             deq_in_flight: false,
-            epoch_token: 0,
-            reap: ReapScan::new(
-                (tid + 1) % queue.max_threads(),
-                queue.config.reap_min_silence_ms,
-            ),
+            reap: ReapScan::new((tid + 1) % n, queue.config.reap_min_silence_ms),
         }
     }
 
@@ -134,7 +129,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
     }
 
     /// The queue this handle operates on.
-    pub fn queue(&self) -> &'q WfQueue<T> {
+    pub fn queue(&self) -> &'q KpQueue<T, R> {
         self.queue
     }
 
@@ -149,25 +144,24 @@ impl<'q, T: Send> WfHandle<'q, T> {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// A node ready to carry `value`: a matured node from this handle's
-    /// own cache, else one from its stash of pool nodes (refilled by
-    /// stealing the pool whole), else a fresh heap node.
+    /// A node ready to carry `value`: one the backend can reuse (see
+    /// [`Reclaim::recycled`]), else a fresh heap node.
     fn alloc_node(&mut self, value: T, tid: usize) -> *mut Node<T> {
-        let recycled = self.cache.pop_mature();
-        let Some(node) = recycled.or_else(|| self.stash.take(&self.queue.pool)) else {
-            Stats::bump(&self.queue.stats.node_allocs);
-            return Box::into_raw(Box::new(Node::new(Some(value), tid)));
+        let q = self.queue;
+        let Some(node) = R::recycled(&mut self.local, &mut self.stash, &q.pool) else {
+            Stats::bump(&q.stats.node_allocs);
+            return Node::boxed(Some(value), tid);
         };
-        Stats::bump(&self.queue.stats.node_reuses);
-        // SAFETY: maturity makes us the unique owner — the cache checked
-        // it (`RetireCache::pop_mature`), and only matured nodes ever
-        // enter the pool — so no pin that could still observe the node
-        // remains. The publish that follows in the caller is a SeqCst
-        // store, releasing these plain/Relaxed writes to any helper that
-        // reads the node through the descriptor.
+        Stats::bump(&q.stats.node_reuses);
+        // SAFETY: a recycled node is exclusively ours — epoch maturity
+        // or both disposal tokens proved no other thread can still
+        // reach it. The publish that follows in the caller (a SeqCst
+        // descriptor store or append CAS) releases these writes to any
+        // helper that reads the node.
         unsafe {
-            (*node).next.store(epoch::Shared::null(), kp_sync::atomic::Ordering::Relaxed);
-            (*node).deq_tid.store(NO_DEQUEUER, kp_sync::atomic::Ordering::Relaxed);
+            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+            (*node).deq_tid.store(NO_DEQUEUER, Ordering::Relaxed);
+            (*node).tokens.store(0, Ordering::Relaxed);
             (*node).enq_tid = tid;
             *(*node).value.get() = Some(value);
         }
@@ -176,47 +170,38 @@ impl<'q, T: Send> WfHandle<'q, T> {
 
     /// Applies the configured helping policy for an operation running at
     /// `phase`, then drives the handle's *own* operation to completion.
-    fn run_help(&mut self, phase: i64, enqueue: bool, guard: &Guard) {
+    fn run_help(&mut self, phase: i64, enqueue: bool) {
         let q = self.queue;
-        let tid = self.id.id();
+        let tid = self.tid();
         let n = q.max_threads();
-        match q.config.help {
-            HelpPolicy::ScanAll => {
-                // Base algorithm: the L64/L101 `help(phase)` call. The
-                // scan includes our own entry, so the operation is
-                // complete when it returns.
-                q.help_all(phase, tid, guard, &mut self.cache);
-            }
+        let (start, chunk) = match q.config.help {
+            // Base algorithm: the L64/L101 `help(phase)` call. The scan
+            // includes our own entry, so the operation is complete when
+            // it returns.
+            HelpPolicy::ScanAll => return q.help_all(&mut self.local, phase, tid),
+            // §3.3 optimization 1: examine `chunk` entries starting at
+            // the cyclic cursor (in addition to our own entry).
             HelpPolicy::Cyclic { chunk } => {
-                // §3.3 optimization 1: examine `chunk` entries starting
-                // at the cyclic cursor (in addition to our own entry).
-                for j in 0..chunk.min(n) {
-                    let i = (self.cursor + j) % n;
-                    if i != tid {
-                        q.help_index(i, phase, tid, guard, &mut self.cache);
-                    }
-                }
+                let start = self.cursor;
                 self.cursor = (self.cursor + chunk) % n;
+                (start, chunk)
             }
-            HelpPolicy::RandomChunk { chunk } => {
-                // §3.3 alternative: random chunk (probabilistic
-                // wait-freedom).
-                let start = (self.next_rand() % n as u64) as usize;
-                for j in 0..chunk.min(n) {
-                    let i = (start + j) % n;
-                    if i != tid {
-                        q.help_index(i, phase, tid, guard, &mut self.cache);
-                    }
-                }
+            // §3.3 alternative: random chunk (probabilistic
+            // wait-freedom).
+            HelpPolicy::RandomChunk { chunk } => ((self.next_rand() % n as u64) as usize, chunk),
+        };
+        for j in 0..chunk.min(n) {
+            let i = (start + j) % n;
+            if i != tid {
+                q.help_index(&mut self.local, i, phase, tid);
             }
         }
-        // Under the chunked policies our own entry may not have been
-        // visited; drive our own operation to completion. (Redundant but
-        // harmless under ScanAll: `is_still_pending` fails immediately.)
+        // Under the chunked policies our own entry was not visited;
+        // drive our own operation to completion.
         if enqueue {
-            q.help_enq(tid, phase, tid, guard);
+            q.help_enq(&mut self.local, tid, phase, tid);
         } else {
-            q.help_deq(tid, phase, tid, guard, &mut self.cache);
+            q.help_deq(&mut self.local, tid, phase, tid);
         }
     }
 
@@ -234,25 +219,18 @@ impl<'q, T: Send> WfHandle<'q, T> {
             return false;
         }
         self.fast_streak = 0;
-        let n = q.max_threads();
-        if self.cursor == self.id.id() {
-            // Our own slot cannot starve us; rotate and stay fast.
-            self.cursor = (self.cursor + 1) % n;
-            return false;
+        // Our own slot cannot starve us. SeqCst: this read gates a
+        // helping obligation, exactly like `is_still_pending` — an
+        // Acquire-stale idle word would let a fast handle overlook a
+        // peer pending in the SC order.
+        if self.cursor != self.tid() && q.state[self.cursor].view(Ordering::SeqCst).0.pending() {
+            return true;
         }
-        // SeqCst: this read gates a helping obligation, exactly like
-        // `is_still_pending` — an Acquire-stale idle word would let a
-        // fast handle overlook a peer pending in the SC order.
-        let (w, _) = q.state[self.cursor].view(kp_sync::atomic::Ordering::SeqCst);
-        if w.pending() {
-            true
-        } else {
-            self.cursor = (self.cursor + 1) % n;
-            false
-        }
+        self.cursor = (self.cursor + 1) % q.max_threads();
+        false
     }
 
-    /// Operation prologue shared by `enqueue` and `dequeue`: the
+    /// Operation prologue shared by every entry point: the
     /// reaper-protocol obligations of a live owner (DESIGN.md §13).
     /// One predictable branch when the reaper is disabled.
     ///
@@ -274,13 +252,9 @@ impl<'q, T: Send> WfHandle<'q, T> {
             "kp-queue handle reaped: the handle stayed silent past the lease \
              patience window and its virtual ID was revoked (DESIGN.md §13)"
         );
-        let tid = self.id.id();
+        let tid = self.tid();
         q.state[tid].bump_beat();
-        let token = epoch::participant_token();
-        if token != self.epoch_token {
-            self.epoch_token = token;
-            q.epoch_tokens[tid].store(token, kp_sync::atomic::Ordering::SeqCst);
-        }
+        R::prologue(q, &mut self.local, tid);
     }
 
     /// Signals liveness without performing an operation. A handle that
@@ -297,122 +271,56 @@ impl<'q, T: Send> WfHandle<'q, T> {
         self.op_prologue();
     }
 
-    /// `enq(value)`, Figure 4 L61–66, preceded by the bounded fast path
-    /// when enabled (DESIGN.md §12).
+    /// Runs `op` as one call of the protocol: the reaper prologue, then
+    /// the operation scope ([`Reclaim::pin`]) around an unwind guard,
+    /// then the reap tick.
     ///
-    /// # Panic safety
+    /// The prologue comes strictly before the pin: the epoch reaper's
+    /// publisher scan relies on every pinned handle having its token
+    /// visible first, so a live pin on a thread shared with a reaped
+    /// handle is never quarantined (DESIGN.md §13.4). The scope stays
+    /// open while the unwind guard runs recovery: completing a pending
+    /// dequeue reads nodes whose liveness argument is "retired during
+    /// this scope".
     ///
-    /// The body runs under an unwind guard: if a panic escapes from
-    /// anywhere inside the protocol (including the fast path and the
-    /// fast→slow demotion window), the guard completes the published
-    /// operation, reclaims any still-private node, and leaves both the
-    /// descriptor and the handle reusable before the panic resumes.
-    pub fn enqueue(&mut self, value: T) {
-        chaos_hooks::op_begin();
-        // Prologue strictly before pin: the reaper's publisher scan
-        // (`WfQueue::reap_slot`) relies on every pinned handle having
-        // its epoch token visible in `epoch_tokens` first, so a live
-        // pin on a thread shared with a reaped handle is never
-        // quarantined (DESIGN.md §13.4).
+    /// If a panic escapes from anywhere inside the protocol (including
+    /// the fast path and the fast→slow demotion window), recovery
+    /// completes the published operation, reclaims any still-private
+    /// node, and leaves both the descriptor and the handle reusable
+    /// before the panic resumes.
+    #[inline]
+    fn run<X>(&mut self, op: impl FnOnce(&mut Self) -> X) -> X {
         self.op_prologue();
-        let guard = epoch::pin();
+        let _scope = R::pin();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if self.max_fast_failures > 0 {
-                self.enqueue_fast_first(value, &guard);
-            } else {
-                self.slow_enqueue(value, &guard);
-            }
-            self.reap_tick(&guard);
+            let x = op(self);
+            self.reap_tick();
+            x
         }));
         match result {
-            Ok(()) => chaos_hooks::op_end(),
-            // A killed operation never completes: recover, then let the
-            // panic continue (op_end deliberately not called — the
-            // partial step count must not be reported).
+            Ok(x) => x,
             Err(payload) => {
-                self.recover_after_unwind(&guard);
+                self.recover_after_unwind();
                 resume_unwind(payload);
             }
         }
     }
 
-    /// The fast prologue and its demotion edges, kept out of line
-    /// (`#[inline(never)]`) so a `max_fast_failures == 0` build path
-    /// keeps the pre-fast-path code shape of `enqueue` — inlining this
-    /// into the entry point measurably perturbed slow-only codegen.
-    #[inline(never)]
-    fn enqueue_fast_first(&mut self, value: T, guard: &Guard) {
-        let q = self.queue;
-        let tid = self.id.id();
-        if !self.starvation_peek() {
-            let node = self.alloc_node(value, FAST_ENQUEUER);
-            // Track the private node for panic recovery until it is
-            // published (append CAS or descriptor publish). The tracker
-            // itself is passed down so the clear is not lost if an
-            // unwind escapes after the publishing CAS.
-            self.inflight = node;
-            let budget = self.max_fast_failures;
-            if q.try_fast_enqueue(node, budget, &mut self.inflight, guard) {
-                self.fast_streak += 1;
-                self.local_stats.fast_completions += 1;
-                Stats::bump(&q.stats.fast_completions);
-                Stats::bump(&q.stats.enqueues);
-                return;
-            }
-            // Exhausted: every append CAS failed, so the node was
-            // never published — it is still exclusively ours.
-            // Rebrand it with our real tid and fall back to the
-            // wait-free slow path.
-            self.fast_streak = 0;
-            self.local_stats.fast_exhaustions += 1;
-            Stats::bump(&q.stats.fast_exhaustions);
-            // SAFETY: exclusive ownership (see above); helpers only
-            // read `enq_tid` after the descriptor publish below,
-            // whose SeqCst store releases this write.
-            unsafe { (*node).enq_tid = tid };
-            inject!("kp.fast.demote");
-            self.local_stats.slow_ops += 1;
-            let phase = q.next_phase(); // L62
-            self.slow_enqueue_publish(phase, node, guard);
-            return;
-        }
-        self.local_stats.fast_starvation_demotions += 1;
-        Stats::bump(&q.stats.fast_starvation_demotions);
-        // Demote to the slow path, which helps the starved peer (its
-        // slot is at our help cursor).
-        self.slow_enqueue(value, guard);
-    }
-
-    /// The slow path proper: Figure 4 L61–66 with a freshly prepared
-    /// node.
-    fn slow_enqueue(&mut self, value: T, guard: &Guard) {
-        let q = self.queue;
-        let tid = self.id.id();
-        self.local_stats.slow_ops += 1;
-        let phase = q.next_phase(); // L62
-        // The injection point sits before the node is prepared so a
-        // simulated crash here leaks nothing: the value is still a plain
-        // local, dropped by the unwind.
-        inject!("kp.publish");
-        let node = self.alloc_node(value, tid);
-        self.slow_enqueue_publish(phase, node, guard);
-    }
-
-    /// L63–65: publish the prepared node's descriptor and drive the
-    /// enqueue to completion (shared by the slow path proper and the
-    /// fast-path demotion).
-    fn slow_enqueue_publish(&mut self, phase: i64, node: *mut Node<T>, guard: &Guard) {
-        let q = self.queue;
-        let tid = self.id.id();
-        // L63: publish the operation descriptor — an in-place slot
-        // store, not an allocation (see `StateSlot::publish`).
-        q.state[tid].publish(phase, node as usize, true);
-        // Published: from here unwind recovery completes the operation
-        // through the descriptor instead of reclaiming the node.
-        self.inflight = ptr::null_mut();
-        self.run_help(phase, true, guard); // L64
-        q.help_finish_enq(guard); // L65 (see the paper's L65 argument)
-        Stats::bump(&q.stats.enqueues);
+    /// `enq(value)`, Figure 4 L61–66, preceded by the bounded fast path
+    /// when enabled (DESIGN.md §12).
+    ///
+    /// # Panic safety
+    ///
+    /// The body runs under an unwind guard: a panic escaping from
+    /// inside the protocol completes the published operation, reclaims
+    /// any still-private node, and leaves the handle usable before the
+    /// panic resumes.
+    pub fn enqueue(&mut self, value: T) {
+        chaos_hooks::op_begin();
+        self.run(|h| h.enqueue_op(value));
+        // A killed operation never gets here: op_end is deliberately
+        // skipped so its partial step count is not reported.
+        chaos_hooks::op_end();
     }
 
     /// `deq()`, Figure 6 L98–108, preceded by the bounded fast path
@@ -427,301 +335,23 @@ impl<'q, T: Send> WfHandle<'q, T> {
     ///
     /// [`enqueue`]: Self::enqueue
     pub fn dequeue(&mut self) -> Option<T> {
-        // The guard is held from before the descriptor is published
-        // until after the value is read: every node our descriptor can
-        // reference is retired (if at all) during this pin, so the reads
-        // below are safe — including against recycling, which obeys the
-        // same maturity rule as freeing. It is pinned *outside* the
-        // unwind guard for the same reason: recovery walks those very
-        // nodes and must run under the original pin.
         chaos_hooks::op_begin();
-        // Prologue before pin, as in `enqueue` (publisher-scan order).
-        self.op_prologue();
-        let guard = epoch::pin();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let result = if self.max_fast_failures > 0 {
-                self.dequeue_fast_first(&guard)
-            } else {
-                self.slow_dequeue(&guard)
-            };
-            self.reap_tick(&guard);
-            result
-        }));
-        match result {
-            Ok(result) => {
-                chaos_hooks::op_end();
-                result
-            }
-            Err(payload) => {
-                self.recover_after_unwind(&guard);
-                resume_unwind(payload);
-            }
-        }
-    }
-
-    /// The fast prologue and its demotion edges; out of line for the
-    /// same codegen reason as [`enqueue_fast_first`].
-    ///
-    /// [`enqueue_fast_first`]: Self::enqueue_fast_first
-    #[inline(never)]
-    fn dequeue_fast_first(&mut self, guard: &Guard) -> Option<T> {
-        let q = self.queue;
-        if !self.starvation_peek() {
-            match q.try_fast_dequeue(self.max_fast_failures, &mut self.cache, guard) {
-                FastDeq::Done(result) => {
-                    self.fast_streak += 1;
-                    self.local_stats.fast_completions += 1;
-                    Stats::bump(&q.stats.fast_completions);
-                    Stats::bump(&q.stats.dequeues);
-                    return result;
-                }
-                FastDeq::Exhausted => {
-                    self.fast_streak = 0;
-                    self.local_stats.fast_exhaustions += 1;
-                    Stats::bump(&q.stats.fast_exhaustions);
-                    inject!("kp.fast.demote");
-                }
-            }
-        } else {
-            self.local_stats.fast_starvation_demotions += 1;
-            Stats::bump(&q.stats.fast_starvation_demotions);
-        }
-        self.slow_dequeue(guard)
-    }
-
-    /// The slow path proper: Figure 6 L98–108.
-    fn slow_dequeue(&mut self, guard: &Guard) -> Option<T> {
-        let q = self.queue;
-        let tid = self.id.id();
-        self.local_stats.slow_ops += 1;
-        let phase = q.next_phase(); // L99
-        inject!("kp.publish");
-        // L100: publish the operation descriptor (node = null).
-        q.state[tid].publish(phase, 0, false);
-        // From publish until the epilogue claims the result, an unwind
-        // leaves a dequeue whose value must still be taken-and-dropped.
-        self.deq_in_flight = true;
-        self.run_help(phase, false, guard); // L101
-        q.help_finish_deq(guard, &mut self.cache); // L102
-        Stats::bump(&q.stats.dequeues);
-        // L103–107: read the result through our completed descriptor.
-        let result = Self::read_deq_result(q, tid, guard);
-        self.deq_in_flight = false;
+        let result = self.run(|h| h.dequeue_op());
+        chaos_hooks::op_end();
         result
-    }
-
-    /// The L103–107 epilogue, shared with the test-hook path.
-    ///
-    /// Ordering relaxation: Acquire, not SeqCst. This reads our *own*
-    /// slot after our operation completed; the completing transition
-    /// (ours or a helper's SeqCst CAS that our `is_still_pending` loop
-    /// already observed) happens-before this load via the SeqCst loop
-    /// exit, and coherence forbids reading anything older. No helping
-    /// decision hangs off this read.
-    fn read_deq_result(q: &WfQueue<T>, tid: usize, guard: &Guard) -> Option<T> {
-        let (w, _) = q.state[tid].view(kp_sync::atomic::Ordering::Acquire);
-        debug_assert!(!w.pending(), "operation must be complete");
-        debug_assert!(!w.enqueue(), "descriptor must be ours (dequeue)");
-        if w.node_is_null() {
-            Stats::bump(&q.stats.empty_dequeues);
-            return None; // L104–105: linearized on an empty queue
-        }
-        let node = w.node_ptr::<Node<T>>();
-        // L107: the value lives in the node *after* the sentinel our
-        // operation locked.
-        // SAFETY: `node` is the sentinel this dequeue locked; it was
-        // retired no earlier than the L150 head-CAS, which happened
-        // during our pin, so it is still live (and not recycled: reuse
-        // obeys the same maturity rule). Same for `next`.
-        let next = unsafe { &*node }.next.load(kp_sync::atomic::Ordering::Acquire, guard);
-        debug_assert!(!next.is_null(), "locked sentinel must have a successor");
-        // SAFETY (uniqueness of the take): `node.deq_tid == tid` was set
-        // by a successful CAS from −1 *in this generation of the node* —
-        // a recycled node is republished only after its reset, which no
-        // still-running dequeue can have locked (maturity again) — so
-        // exactly one operation ever locks `node`, and only that
-        // operation's owner executes this line for `node`. Each value is
-        // taken exactly once, with the enqueuer's write ordered before
-        // by the release/acquire chain through the list links.
-        let value = unsafe { (*next.deref().value.get()).take() };
-        // Checked in release builds on purpose: with the reaper in the
-        // picture, a claim-and-discard by `WfQueue::reap_slot` racing a
-        // falsely-reaped (preempted, not dead) owner's epilogue would
-        // make this second take() return None — that must surface as a
-        // panic, never as UB. The branch is perfectly predicted.
-        Some(value.expect("value already taken: deq_tid uniqueness violated"))
-    }
-
-    /// One step of the abandoned-handle reaper (DESIGN.md §13), run
-    /// after every [`TICK_STRIDE`](crate::reap::TICK_STRIDE)-th
-    /// completed operation when `Config::reap_patience > 0`.
-    /// Examines exactly one peer slot; bounded work, so the enclosing
-    /// operation stays wait-free.
-    fn reap_tick(&mut self, guard: &Guard) {
-        let q = self.queue;
-        let patience = q.config.reap_patience;
-        if patience == 0 || !self.reap.tick_due() {
-            return;
-        }
-        let tid = self.id.id();
-        let n = q.max_threads();
-        let v = self.reap.cursor();
-        if v == tid {
-            self.reap.advance(n);
-            return;
-        }
-        let Some(view) = q.ids.inspect(v) else {
-            self.reap.advance(n);
-            return;
-        };
-        match view.state {
-            SlotState::Free => self.reap.advance(n),
-            SlotState::Claimed => {
-                // The full liveness snapshot: lease generation (slot
-                // churn), heartbeat (owner-side progress), ctrl word
-                // with its version tag (helper-side progress) and
-                // phase. SeqCst view: the post-freeze `reap_slot`
-                // re-reads authoritatively, so Acquire would do, but
-                // this is off the hot path and SeqCst keeps the audit
-                // uniform with the other descriptor reads.
-                let (ctrl, phase) = q.state[v].view(kp_sync::atomic::Ordering::SeqCst);
-                let obs = Observation::Claimed {
-                    generation: view.generation,
-                    beat: q.state[v].load_beat(),
-                    ctrl,
-                    phase,
-                };
-                if self.reap.frozen(obs, patience) {
-                    // Frozen for our whole patience window: revoke the
-                    // lease. The CAS fails iff the owner (or another
-                    // reaper) moved the slot since our snapshot — then
-                    // it was not frozen after all and we just move on.
-                    if q.ids.begin_reap(v, view.generation) {
-                        q.reap_slot(v, view.generation, tid, guard, &mut self.cache);
-                    }
-                    self.reap.advance(n);
-                }
-            }
-            SlotState::Reaping => {
-                // Watch the reaper itself; its only progress signal is
-                // the lease generation (see `Observation::Reaping`).
-                let obs = Observation::Reaping {
-                    generation: view.generation,
-                };
-                if self.reap.frozen(obs, patience) {
-                    if let Some(next_generation) = q.ids.takeover_reap(v, view.generation) {
-                        Stats::bump(&q.stats.reap_takeovers);
-                        q.reap_slot(v, next_generation, tid, guard, &mut self.cache);
-                    }
-                    self.reap.advance(n);
-                }
-            }
-        }
-    }
-
-    /// Restores the handle's invariants after a panic escaped from
-    /// inside `enqueue`/`dequeue`. On return the descriptor is idle,
-    /// no node is leaked or double-owned, and the handle is usable.
-    ///
-    /// Must run under the pin the operation itself was running under
-    /// (`guard` is the one `enqueue`/`dequeue` created before entering
-    /// the unwind guard): completing a pending dequeue reads nodes
-    /// whose liveness argument is "retired during this pin".
-    #[cold]
-    fn recover_after_unwind(&mut self, guard: &Guard) {
-        let q = self.queue;
-        let tid = self.id.id();
-        // A still-private fast-path node: never published (the append
-        // CAS clears the tracker the instant it succeeds, the slow
-        // publish right after the descriptor store), so we are its
-        // unique owner and nothing in the queue references it.
-        let inflight = std::mem::replace(&mut self.inflight, ptr::null_mut());
-        if !inflight.is_null() {
-            // SAFETY: unique ownership per the tracker invariant above;
-            // the node came from `alloc_node` (a `Box` either way —
-            // recycled nodes were `Box`es originally) and its value
-            // drops with it.
-            drop(unsafe { Box::from_raw(inflight) });
-        }
-        let (w, phase) = q.state[tid].view(kp_sync::atomic::Ordering::SeqCst);
-        if w.pending() {
-            // Died mid-protocol with a published descriptor: finish the
-            // operation the same way `Drop` would.
-            if w.enqueue() {
-                q.help_enq(tid, phase, tid, guard);
-            } else {
-                q.help_deq(tid, phase, tid, guard, &mut self.cache);
-                q.help_finish_deq(guard, &mut self.cache);
-                // The caller will never see the result; claim and
-                // discard it so conservation stays exact.
-                drop(Self::read_deq_result(q, tid, guard));
-            }
-        } else if !w.enqueue() && self.deq_in_flight {
-            // The dequeue completed (possibly via helpers) but the
-            // unwind hit before the epilogue claimed the value.
-            drop(Self::read_deq_result(q, tid, guard));
-        }
-        self.deq_in_flight = false;
-        // Leave head and tail fully advanced — the next operation (ours
-        // or anyone's) starts from a quiescent queue, and an enqueue
-        // that died between steps 2 and 3 gets its tail swing now.
-        q.help_finish_enq(guard);
-        q.help_finish_deq(guard, &mut self.cache);
-        self.fast_streak = 0;
-    }
-
-    /// Begins an operation but performs **no helping**, leaving the
-    /// published descriptor pending — as if the thread stalled right
-    /// after the paper's L63/L100. Test infrastructure for exercising
-    /// the helping mechanism deterministically; not part of the public
-    /// API surface.
-    #[doc(hidden)]
-    pub fn begin_enqueue_unhelped(&mut self, value: T) -> PendingOp<'_, 'q, T> {
-        let q = self.queue;
-        let tid = self.id.id();
-        let guard = epoch::pin();
-        let phase = q.next_phase();
-        let node = self.alloc_node(value, tid);
-        q.state[tid].publish(phase, node as usize, true);
-        PendingOp {
-            handle: self,
-            guard,
-            phase,
-            enqueue: true,
-            done: false,
-        }
-    }
-
-    /// Dequeue counterpart of [`begin_enqueue_unhelped`].
-    ///
-    /// [`begin_enqueue_unhelped`]: Self::begin_enqueue_unhelped
-    #[doc(hidden)]
-    pub fn begin_dequeue_unhelped(&mut self) -> PendingOp<'_, 'q, T> {
-        let q = self.queue;
-        let tid = self.id.id();
-        let guard = epoch::pin();
-        let phase = q.next_phase();
-        q.state[tid].publish(phase, 0, false);
-        PendingOp {
-            handle: self,
-            guard,
-            phase,
-            enqueue: false,
-            done: false,
-        }
     }
 
     /// Enqueues every value of `batch` in order (the queue is unbounded,
     /// so nothing is ever refused), paying the per-call fixed costs —
-    /// reaper prologue, epoch pin, unwind guard, reap tick — once for
-    /// the whole batch instead of once per value. Each value is still
-    /// its own operation of the protocol (own fast-path attempt or
-    /// phase/descriptor publish), so the per-operation wait-freedom
+    /// reaper prologue, operation scope, unwind guard, reap tick — once
+    /// for the whole batch instead of once per value. Each value is
+    /// still its own operation of the protocol (own fast-path attempt
+    /// or phase/descriptor publish), so the per-operation wait-freedom
     /// bound is unchanged; strictly the entry/exit overhead is
-    /// amortized. The epoch pin is held across the batch, delaying
-    /// node reclamation by at most one batch — callers should keep
-    /// batches modest (the channel layer bounds them by its configured
-    /// batch size).
+    /// amortized. Under epochs the pin is held across the batch,
+    /// delaying node reclamation by at most one batch — callers should
+    /// keep batches modest (the channel layer bounds them by its
+    /// configured batch size).
     ///
     /// Returns how many values were enqueued (always `batch.len()`).
     ///
@@ -737,112 +367,425 @@ impl<'q, T: Send> WfHandle<'q, T> {
         if n == 0 {
             return 0;
         }
-        // Prologue strictly before pin (publisher-scan order, as in
-        // `enqueue`); one liveness beat covers the whole batch.
-        self.op_prologue();
-        let guard = epoch::pin();
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        self.run(|h| {
             for value in batch.drain(..) {
                 // The watchdog still sees one bounded operation per
                 // value — batching must not relax the O(n) step budget.
                 chaos_hooks::op_begin();
-                if self.max_fast_failures > 0 {
-                    self.enqueue_fast_first(value, &guard);
-                } else {
-                    self.slow_enqueue(value, &guard);
-                }
+                h.enqueue_op(value);
                 chaos_hooks::op_end();
             }
-            self.reap_tick(&guard);
-        }));
-        match result {
-            Ok(()) => n,
-            Err(payload) => {
-                self.recover_after_unwind(&guard);
-                resume_unwind(payload);
-            }
-        }
+        });
+        n
     }
 
     /// Dequeues up to `max` immediately available values into `out`,
     /// stopping at the first empty observation; returns how many were
     /// taken. The batched twin of [`enqueue_batch`]: per-call fixed
     /// costs are paid once, each value is still its own bounded
-    /// operation, and the epoch pin spans the batch.
+    /// operation, and the operation scope spans the batch.
     ///
     /// [`enqueue_batch`]: Self::enqueue_batch
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
         }
-        self.op_prologue();
-        let guard = epoch::pin();
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        self.run(|h| {
             let mut taken = 0;
             while taken < max {
                 chaos_hooks::op_begin();
-                let value = if self.max_fast_failures > 0 {
-                    self.dequeue_fast_first(&guard)
-                } else {
-                    self.slow_dequeue(&guard)
-                };
+                let value = h.dequeue_op();
                 chaos_hooks::op_end();
-                match value {
-                    Some(v) => {
-                        out.push(v);
-                        taken += 1;
-                    }
-                    None => break,
+                let Some(v) = value else { break };
+                out.push(v);
+                taken += 1;
+            }
+            taken
+        })
+    }
+
+    /// One enqueue, fast path first when enabled.
+    fn enqueue_op(&mut self, value: T) {
+        if self.max_fast_failures > 0 {
+            self.enqueue_fast_first(value);
+        } else {
+            self.slow_enqueue(value);
+        }
+    }
+
+    /// One dequeue, fast path first when enabled.
+    fn dequeue_op(&mut self) -> Option<T> {
+        if self.max_fast_failures > 0 {
+            self.dequeue_fast_first()
+        } else {
+            self.slow_dequeue()
+        }
+    }
+
+    /// The fast prologue and its demotion edges, kept out of line
+    /// (`#[inline(never)]`) so a `max_fast_failures == 0` build path
+    /// keeps the pre-fast-path code shape of `enqueue` — inlining this
+    /// into the entry point measurably perturbed slow-only codegen.
+    #[inline(never)]
+    fn enqueue_fast_first(&mut self, value: T) {
+        let q = self.queue;
+        if self.starvation_peek() {
+            self.local_stats.fast_starvation_demotions += 1;
+            Stats::bump(&q.stats.fast_starvation_demotions);
+            // Demote to the slow path, which helps the starved peer
+            // (its slot is at our help cursor).
+            return self.slow_enqueue(value);
+        }
+        let node = self.alloc_node(value, FAST_ENQUEUER);
+        // Track the private node for panic recovery until it is
+        // published (append CAS or descriptor publish). The tracker
+        // itself is passed down so the clear is not lost if an unwind
+        // escapes after the publishing CAS.
+        self.inflight = node;
+        let budget = Some(self.max_fast_failures);
+        if q.try_fast_enqueue(&mut self.local, node, budget, &mut self.inflight) {
+            self.fast_streak += 1;
+            self.local_stats.fast_completions += 1;
+            Stats::bump(&q.stats.fast_completions);
+            Stats::bump(&q.stats.enqueues);
+            return;
+        }
+        // Exhausted: every append CAS failed, so the node was never
+        // published — it is still exclusively ours. Rebrand it with our
+        // real tid and fall back to the wait-free slow path.
+        self.fast_streak = 0;
+        self.local_stats.fast_exhaustions += 1;
+        Stats::bump(&q.stats.fast_exhaustions);
+        // SAFETY: exclusive ownership (see above); helpers only read
+        // `enq_tid` after the descriptor publish below, whose SeqCst
+        // store releases this write.
+        unsafe { (*node).enq_tid = self.tid() };
+        inject!(R::SITES.fast_demote);
+        self.local_stats.slow_ops += 1;
+        let phase = q.next_phase(); // L62
+        self.slow_enqueue_publish(phase, node);
+    }
+
+    /// The slow path proper: Figure 4 L61–66 with a freshly prepared
+    /// node.
+    fn slow_enqueue(&mut self, value: T) {
+        self.local_stats.slow_ops += 1;
+        let phase = self.queue.next_phase(); // L62
+        // The injection point sits before the node is prepared so a
+        // simulated crash here leaks nothing: the value is still a plain
+        // local, dropped by the unwind.
+        inject!(R::SITES.publish);
+        let node = self.alloc_node(value, self.tid());
+        self.slow_enqueue_publish(phase, node);
+    }
+
+    /// L63–65: publish the prepared node's descriptor and drive the
+    /// enqueue to completion (shared by the slow path proper and the
+    /// fast-path demotion).
+    fn slow_enqueue_publish(&mut self, phase: i64, node: *mut Node<T>) {
+        let q = self.queue;
+        // L63: publish the operation descriptor — an in-place slot
+        // store, not an allocation (see `StateSlot::publish`).
+        q.state[self.tid()].publish(phase, node as usize, true);
+        // Published: from here unwind recovery completes the operation
+        // through the descriptor instead of reclaiming the node.
+        self.inflight = ptr::null_mut();
+        self.run_help(phase, true); // L64
+        q.help_finish_enq(&mut self.local); // L65 (see the paper's L65 argument)
+        Stats::bump(&q.stats.enqueues);
+    }
+
+    /// The fast prologue and its demotion edges; out of line for the
+    /// same codegen reason as [`enqueue_fast_first`].
+    ///
+    /// [`enqueue_fast_first`]: Self::enqueue_fast_first
+    #[inline(never)]
+    fn dequeue_fast_first(&mut self) -> Option<T> {
+        let q = self.queue;
+        if self.starvation_peek() {
+            self.local_stats.fast_starvation_demotions += 1;
+            Stats::bump(&q.stats.fast_starvation_demotions);
+            return self.slow_dequeue();
+        }
+        if let FastDeq::Done(result) = q.try_fast_dequeue(&mut self.local, self.max_fast_failures) {
+            self.fast_streak += 1;
+            self.local_stats.fast_completions += 1;
+            Stats::bump(&q.stats.fast_completions);
+            Stats::bump(&q.stats.dequeues);
+            return result;
+        }
+        self.fast_streak = 0;
+        self.local_stats.fast_exhaustions += 1;
+        Stats::bump(&q.stats.fast_exhaustions);
+        inject!(R::SITES.fast_demote);
+        self.slow_dequeue()
+    }
+
+    /// The slow path proper: Figure 6 L98–108.
+    fn slow_dequeue(&mut self) -> Option<T> {
+        let q = self.queue;
+        self.local_stats.slow_ops += 1;
+        let phase = q.next_phase(); // L99
+        inject!(R::SITES.publish);
+        // L100: publish the operation descriptor (node = null).
+        q.state[self.tid()].publish(phase, 0, false);
+        // From publish until the epilogue claims the result, an unwind
+        // leaves a dequeue whose value must still be taken-and-dropped.
+        self.deq_in_flight = true;
+        self.run_help(phase, false); // L101
+        q.help_finish_deq(&mut self.local); // L102
+        Stats::bump(&q.stats.dequeues);
+        let result = self.read_deq_result(); // L103–107
+        self.deq_in_flight = false;
+        result
+    }
+
+    /// The L103–107 epilogue: our completed word names the *value node*
+    /// (the sentinel's successor that the step-2 CAS handed us, see
+    /// `KpQueue::help_finish_deq`), or null for an empty result.
+    ///
+    /// Ordering: Acquire, not SeqCst. This reads our *own* slot after
+    /// our operation completed; the completing transition (ours or a
+    /// helper's SeqCst CAS that our `is_still_pending` loop already
+    /// observed) happens-before this load via the SeqCst loop exit, and
+    /// coherence forbids reading anything older. No helping decision
+    /// hangs off this read.
+    ///
+    /// Liveness of the value node, argued once for both backends: head
+    /// cannot leave the locked sentinel before step 2, so when the
+    /// step-2 CAS named the value node it was still linked, hence not
+    /// retired. That CAS came after our publish.
+    ///
+    /// * Epoch: we pinned before publishing and stay pinned through this
+    ///   read (the `run` scope, or the `PendingOp` that holds the pin),
+    ///   so the node was retired — if at all — during our pin, and
+    ///   neither freeing nor recycling (which obeys the same maturity
+    ///   rule) can reach it before we unpin.
+    /// * Hazard pointers: the node cannot be released to the pool or the
+    ///   allocator before both disposal tokens are set, and
+    ///   `TOKEN_CONSUMED` is set by our own `take_value` — after the
+    ///   take, however long ago the operation completed.
+    ///
+    /// Uniqueness of the take: the step-2 CAS writes the value node into
+    /// exactly one completed dequeue word (the lock on its predecessor
+    /// names one owner; version tags make racing step-2 writers
+    /// idempotent), and only that word's owner runs this epilogue.
+    fn read_deq_result(&self) -> Option<T> {
+        let q = self.queue;
+        let (w, _) = q.state[self.tid()].view(Ordering::Acquire);
+        debug_assert!(!w.pending(), "operation must be complete");
+        debug_assert!(!w.enqueue(), "descriptor must be ours (dequeue)");
+        if w.node_is_null() {
+            Stats::bump(&q.stats.empty_dequeues);
+            return None; // L104–105: linearized on an empty queue
+        }
+        // SAFETY: liveness and uniqueness per the doc comment above.
+        let value = unsafe { q.take_value(w.node_ptr()) };
+        // Checked in release builds on purpose: with the reaper in the
+        // picture, a claim-and-discard by `KpQueue::reap_slot` racing a
+        // falsely-reaped (preempted, not dead) owner's epilogue would
+        // make this second take return None — that must surface as a
+        // panic, never as UB. The branch is perfectly predicted.
+        Some(value.expect("value already taken: deq_tid uniqueness violated"))
+    }
+
+    /// One step of the abandoned-handle reaper (DESIGN.md §13), run
+    /// after every [`TICK_STRIDE`](crate::reap::TICK_STRIDE)-th
+    /// completed call when `Config::reap_patience > 0`. Examines
+    /// exactly one peer slot; bounded work, so the enclosing operation
+    /// stays wait-free.
+    fn reap_tick(&mut self) {
+        let q = self.queue;
+        let patience = q.config.reap_patience;
+        if patience == 0 || !self.reap.tick_due() {
+            return;
+        }
+        let tid = self.tid();
+        let n = q.max_threads();
+        let v = self.reap.cursor();
+        if v == tid {
+            return self.reap.advance(n);
+        }
+        let Some(view) = q.ids.inspect(v) else {
+            return self.reap.advance(n);
+        };
+        // The liveness snapshot. For a claimed slot: lease generation
+        // (slot churn), heartbeat (owner-side progress), ctrl word with
+        // its version tag (helper-side progress) and phase — SeqCst
+        // view: the post-freeze `reap_slot` re-reads authoritatively, so
+        // Acquire would do, but this is off the hot path and SeqCst
+        // keeps the audit uniform with the other descriptor reads. For
+        // a slot mid-reap, the reaper itself is watched; its only
+        // progress signal is the lease generation.
+        let obs = match view.state {
+            SlotState::Free => return self.reap.advance(n),
+            SlotState::Claimed => {
+                let (ctrl, phase) = q.state[v].view(Ordering::SeqCst);
+                let beat = q.state[v].load_beat();
+                Observation::Claimed {
+                    generation: view.generation,
+                    beat,
+                    ctrl,
+                    phase,
                 }
             }
-            self.reap_tick(&guard);
-            taken
-        }));
-        match result {
-            Ok(taken) => taken,
-            Err(payload) => {
-                self.recover_after_unwind(&guard);
-                resume_unwind(payload);
+            SlotState::Reaping => Observation::Reaping {
+                generation: view.generation,
+            },
+        };
+        if !self.reap.frozen(obs, patience) {
+            return;
+        }
+        if let Observation::Claimed { .. } = obs {
+            // Frozen for our whole patience window: revoke the lease.
+            // The CAS fails iff the owner (or another reaper) moved the
+            // slot since our snapshot — then it was not frozen after
+            // all and we just move on.
+            if q.ids.begin_reap(v, view.generation) {
+                q.reap_slot(&mut self.local, v, view.generation, tid);
             }
+        } else if let Some(next_generation) = q.ids.takeover_reap(v, view.generation) {
+            Stats::bump(&q.stats.reap_takeovers);
+            q.reap_slot(&mut self.local, v, next_generation, tid);
+        }
+        self.reap.advance(n);
+    }
+
+    /// Completes this handle's own published operation the way its
+    /// owner would — a dequeue's result is claimed and discarded, so
+    /// conservation stays exact (it counts as consumed by the departed
+    /// caller) — and drives tail and head past any node of ours. Runs
+    /// inside the operation scope the operation was published under
+    /// (unwind recovery) or a fresh one (handle exit, where the
+    /// operation, if pending, completes during that scope).
+    fn finish_own_op(&mut self) {
+        let q = self.queue;
+        let tid = self.tid();
+        let (w, phase) = q.state[tid].view(Ordering::SeqCst);
+        if w.pending() {
+            if w.enqueue() {
+                q.help_enq(&mut self.local, tid, phase, tid);
+            } else {
+                q.help_deq(&mut self.local, tid, phase, tid);
+                q.help_finish_deq(&mut self.local);
+                drop(self.read_deq_result());
+            }
+        } else if !w.enqueue() && self.deq_in_flight {
+            // The dequeue completed (possibly via helpers) but the
+            // unwind hit before the epilogue claimed the value.
+            drop(self.read_deq_result());
+        }
+        self.deq_in_flight = false;
+        // Even when our op is no longer pending, the tail may still sit
+        // *before* our appended node (we died between enqueue steps 2
+        // and 3). Helpers only swing the tail while the owner's
+        // descriptor still references that node (the L91 identity
+        // check), so an idle descriptor may be published only once the
+        // tail is past it — one help_finish_enq call guarantees that.
+        // The head needs no such gate (the L150 CAS is unconditional),
+        // but we drive it too so the slot is left fully quiescent.
+        q.help_finish_enq(&mut self.local);
+        q.help_finish_deq(&mut self.local);
+    }
+
+    /// Restores the handle's invariants after a panic escaped from
+    /// inside an operation. On return the descriptor is idle, no node
+    /// is leaked or double-owned, no stale protection is left behind (a
+    /// stale hazard would exclude its node from reclamation forever),
+    /// and the handle is usable. Runs inside the operation's own scope
+    /// (see [`run`](Self::run)).
+    #[cold]
+    fn recover_after_unwind(&mut self) {
+        // A still-private fast-path node: never published (the append
+        // CAS clears the tracker the instant it succeeds, the slow
+        // publish right after the descriptor store), so we are its
+        // unique owner and nothing in the queue references it.
+        let inflight = std::mem::replace(&mut self.inflight, ptr::null_mut());
+        if !inflight.is_null() {
+            // SAFETY: unique ownership per the tracker invariant above;
+            // every node is a `Box` at birth, and its value drops with
+            // it.
+            drop(unsafe { Box::from_raw(inflight) });
+        }
+        self.finish_own_op();
+        R::clear(&self.local, H_NODE);
+        R::clear(&self.local, H_NEXT);
+        self.fast_streak = 0;
+    }
+
+    /// Begins an operation but performs **no helping**, leaving the
+    /// published descriptor pending — as if the thread stalled right
+    /// after the paper's L63/L100. Test infrastructure for exercising
+    /// the helping mechanism deterministically; not part of the public
+    /// API surface.
+    #[doc(hidden)]
+    pub fn begin_enqueue_unhelped(&mut self, value: T) -> KpPendingOp<'_, 'q, T, R> {
+        let scope = R::pin();
+        let node = self.alloc_node(value, self.tid());
+        self.begin_unhelped(scope, node as usize, true)
+    }
+
+    /// Dequeue counterpart of [`begin_enqueue_unhelped`].
+    ///
+    /// [`begin_enqueue_unhelped`]: Self::begin_enqueue_unhelped
+    #[doc(hidden)]
+    pub fn begin_dequeue_unhelped(&mut self) -> KpPendingOp<'_, 'q, T, R> {
+        self.begin_unhelped(R::pin(), 0, false)
+    }
+
+    fn begin_unhelped(
+        &mut self,
+        scope: R::Guard,
+        node: usize,
+        enqueue: bool,
+    ) -> KpPendingOp<'_, 'q, T, R> {
+        let phase = self.queue.next_phase();
+        self.queue.state[self.tid()].publish(phase, node, enqueue);
+        KpPendingOp {
+            handle: self,
+            _scope: scope,
+            phase,
+            enqueue,
+            done: false,
         }
     }
 
     /// Performs a fast-path append and **skips the tail swing**: the
-    /// shared state a thread killed at `kp.fast.swing_tail` leaves
-    /// behind when nothing runs its unwind recovery (sudden death).
-    /// The value is linearized — the append CAS is the linearization
-    /// point — but the tail lags until someone's `help_finish_enq`
-    /// fixes it, which makes the *next* budget-1 fast enqueue demote
-    /// deterministically. Test infrastructure, like
-    /// [`begin_enqueue_unhelped`].
+    /// shared state a thread killed at `fast.swing_tail` leaves behind
+    /// when nothing runs its unwind recovery (sudden death). The value
+    /// is linearized — the append CAS is the linearization point — but
+    /// the tail lags until someone's `help_finish_enq` fixes it, which
+    /// makes the *next* budget-1 fast enqueue demote deterministically.
+    /// Test infrastructure, like [`begin_enqueue_unhelped`].
     ///
     /// [`begin_enqueue_unhelped`]: Self::begin_enqueue_unhelped
     #[doc(hidden)]
     pub fn fast_append_unswung(&mut self, value: T) {
-        let q = self.queue;
-        // Prologue before pin, as in `enqueue` (publisher-scan order).
+        // Prologue before the scope, as in `run` (publisher-scan order).
         self.op_prologue();
-        let guard = epoch::pin();
+        let _scope = R::pin();
         let node = self.alloc_node(value, FAST_ENQUEUER);
-        q.append_no_swing(node, &guard);
+        let mut untracked = ptr::null_mut();
+        self.queue
+            .try_fast_enqueue(&mut self.local, node, None, &mut untracked);
     }
 }
 
-impl<T: Send> QueueHandle<T> for WfHandle<'_, T> {
+impl<T: Send, R: Reclaim> QueueHandle<T> for KpHandle<'_, T, R> {
     fn enqueue(&mut self, value: T) {
-        WfHandle::enqueue(self, value);
+        KpHandle::enqueue(self, value);
     }
 
     fn dequeue(&mut self) -> Option<T> {
-        WfHandle::dequeue(self)
+        KpHandle::dequeue(self)
     }
 
     fn try_enqueue_batch(&mut self, batch: &mut Vec<T>) -> usize {
-        WfHandle::enqueue_batch(self, batch)
+        KpHandle::enqueue_batch(self, batch)
     }
 
     fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        WfHandle::dequeue_batch(self, out, max)
+        KpHandle::dequeue_batch(self, out, max)
     }
 
     fn fast_path_stats(&self) -> Option<FastPathStats> {
@@ -850,7 +793,7 @@ impl<T: Send> QueueHandle<T> for WfHandle<'_, T> {
     }
 }
 
-impl<T: Send> Drop for WfHandle<'_, T> {
+impl<T: Send, R: Reclaim> Drop for KpHandle<'_, T, R> {
     fn drop(&mut self) {
         // §3.3 "dummy descriptor on exit". The ID must not return to the
         // pool while `state[tid]` still describes an unfinished
@@ -862,8 +805,8 @@ impl<T: Send> Drop for WfHandle<'_, T> {
         // exactly as the owner would, discard an unclaimed dequeue
         // result, and leave a pristine descriptor behind.
         let q = self.queue;
-        let tid = self.id.id();
-        let guard = epoch::pin();
+        let tid = self.tid();
+        let scope = R::pin();
         // Exit counts as an operation under the lease protocol: signal
         // liveness first, so a reaper part-way through accumulating
         // silence against this slot restarts its patience window and
@@ -877,80 +820,50 @@ impl<T: Send> Drop for WfHandle<'_, T> {
         if q.config.reap_patience != 0 {
             q.state[tid].bump_beat_shared();
         }
-        if !self.id.lease_holds() {
-            // Reaped out from under us (lease-contract violation on our
-            // side): the reaper already drove the descriptor idle and
-            // the slot may belong to a successor — touching `state[tid]`
-            // or `epoch_tokens[tid]` now would corrupt *their* state.
-            // `IdGuard::drop`'s release CAS fails silently on the stale
-            // generation. Only our private nodes are still ours to free.
-            self.cache.drain(&guard);
-            self.stash.give_back(&q.pool);
-            return;
+        // Reaped out from under us (a lease-contract violation on our
+        // side): the reaper already drove the descriptor idle and the
+        // slot may belong to a successor — touching `state[tid]` or
+        // `tokens[tid]` now would corrupt *their* state, and
+        // `IdGuard::drop`'s release CAS fails silently on the stale
+        // generation. Only our private state is still ours.
+        let live = self.id.lease_holds();
+        if live {
+            R::leave(q, tid);
+            self.finish_own_op();
+            // Fresh idle descriptor (version-bumped in place): the
+            // slot's next owner starts from the same state a brand-new
+            // slot has, and stale helper CASes against our old words
+            // keep failing.
+            q.state[tid].reset();
         }
-        let (w, phase) = q.state[tid].view(kp_sync::atomic::Ordering::SeqCst);
-        if w.pending() {
-            if w.enqueue() {
-                q.help_enq(tid, phase, tid, &guard);
-                q.help_finish_enq(&guard);
-            } else {
-                q.help_deq(tid, phase, tid, &guard, &mut self.cache);
-                q.help_finish_deq(&guard, &mut self.cache);
-                // Nobody will ever read this dequeue's result; take the
-                // value out of the node so conservation stays exact (it
-                // counts as consumed-by-the-departed-thread).
-                drop(Self::read_deq_result(q, tid, &guard));
-            }
-        }
-        // Even when our op is no longer pending, the tail may still sit
-        // *before* our appended node (we died between enqueue steps 2
-        // and 3). Helpers only swing the tail while the owner's
-        // descriptor still references that node (the L91 identity
-        // check), so the dummy may be published only once the tail is
-        // past it — one help_finish_enq call guarantees that. The head
-        // needs no such gate (the L150 CAS is unconditional), but we
-        // drive it too so the slot is handed over fully quiescent.
-        q.help_finish_enq(&guard);
-        q.help_finish_deq(&guard, &mut self.cache);
-        // Fresh idle descriptor (version-bumped in place): the slot's
-        // next owner starts from the same state a brand-new slot has,
-        // and stale helper CASes against our old words keep failing.
-        q.state[tid].reset();
-        // Reuse ends with the handle: give the cached nodes back to the
-        // epoch collector and the stolen ones back to the pool.
-        self.cache.drain(&guard);
         self.stash.give_back(&q.pool);
-        // Retract the published epoch token only after unpinning, and
-        // before the ID can be recycled: while we were pinned above, a
-        // reaper quarantining another abandoned slot with the same
-        // token had to see our publication (publisher scan, DESIGN.md
-        // §13.4) and spare our live pin; once unpinned there is nothing
-        // of ours left to protect, and clearing the slot stops a later
-        // reap of this ID's next lease from acting on a stale token.
-        drop(guard);
-        q.epoch_tokens[tid].store(0, kp_sync::atomic::Ordering::SeqCst);
+        drop(scope);
+        R::release(q, &mut self.local, tid, live);
         // `self.id` drops after this body, releasing the virtual ID —
         // only now that the state entry is helpable and self-contained.
     }
 }
 
-/// An in-flight operation started by [`WfHandle::begin_enqueue_unhelped`]
-/// or [`WfHandle::begin_dequeue_unhelped`] — the owner is "stalled" and
-/// other threads' operations may complete it through helping.
+/// An in-flight operation started by `begin_enqueue_unhelped` or
+/// `begin_dequeue_unhelped` — the owner is "stalled" and other threads'
+/// operations may complete it through helping; used through
+/// [`PendingOp`](crate::PendingOp) and
+/// [`PendingOpHp`](crate::PendingOpHp).
 ///
-/// Holds the owner's epoch guard, so the queue's node references stay
-/// valid until [`finish`](PendingOp::finish). Not `Send`: it models one
-/// stalled thread.
+/// Holds the owner's operation scope (the epoch pin), so the queue's
+/// node references stay valid until [`finish`](Self::finish). Not
+/// `Send`: it models one stalled thread.
 #[doc(hidden)]
-pub struct PendingOp<'h, 'q, T: Send> {
-    handle: &'h mut WfHandle<'q, T>,
-    guard: Guard,
+pub struct KpPendingOp<'h, 'q, T: Send, R: Reclaim> {
+    handle: &'h mut KpHandle<'q, T, R>,
+    /// The owner's operation scope, held until the op is dropped.
+    _scope: R::Guard,
     phase: i64,
     enqueue: bool,
     done: bool,
 }
 
-impl<T: Send> PendingOp<'_, '_, T> {
+impl<T: Send, R: Reclaim> KpPendingOp<'_, '_, T, R> {
     /// True while the operation has not been linearized-and-acknowledged
     /// by anyone (owner or helper).
     pub fn is_pending(&self) -> bool {
@@ -967,18 +880,19 @@ impl<T: Send> PendingOp<'_, '_, T> {
     fn complete(&mut self) -> Option<T> {
         debug_assert!(!self.done);
         self.done = true;
-        let q = self.handle.queue;
-        let tid = self.handle.id.id();
+        let h = &mut *self.handle;
+        let q = h.queue;
+        let tid = h.tid();
         if self.enqueue {
-            q.help_enq(tid, self.phase, tid, &self.guard);
-            q.help_finish_enq(&self.guard);
+            q.help_enq(&mut h.local, tid, self.phase, tid);
+            q.help_finish_enq(&mut h.local);
             Stats::bump(&q.stats.enqueues);
             None
         } else {
-            q.help_deq(tid, self.phase, tid, &self.guard, &mut self.handle.cache);
-            q.help_finish_deq(&self.guard, &mut self.handle.cache);
+            q.help_deq(&mut h.local, tid, self.phase, tid);
+            q.help_finish_deq(&mut h.local);
             Stats::bump(&q.stats.dequeues);
-            WfHandle::read_deq_result(q, tid, &self.guard)
+            h.read_deq_result()
         }
     }
 
@@ -999,7 +913,7 @@ impl<T: Send> PendingOp<'_, '_, T> {
     }
 }
 
-impl<T: Send> Drop for PendingOp<'_, '_, T> {
+impl<T: Send, R: Reclaim> Drop for KpPendingOp<'_, '_, T, R> {
     fn drop(&mut self) {
         if !self.done {
             // The operation MUST be driven to completion before the

@@ -41,6 +41,30 @@
 //! plus [`HelpPolicy::RandomChunk`] (the paper's "random chunk" remark,
 //! probabilistic wait-freedom) and the `validate_before_cas` enhancement.
 //!
+//! # One algorithm, two reclamation backends
+//!
+//! Figures 1–6, the §3.3 policies, the fast path (DESIGN.md §12), unwind
+//! recovery, handle exit and the abandoned-handle reaper (DESIGN.md §13)
+//! are written once, over a reclamation backend that supplies only what
+//! differs — how a head/tail load is protected, where an unlinked
+//! sentinel goes, where an enqueue finds a reusable node, and how a dead
+//! handle's participation is quarantined:
+//!
+//! | Type | Backend | Progress of reclamation |
+//! |---|---|---|
+//! | [`WfQueue`] / [`WfHandle`] | epochs (crossbeam-style pins) | lock-free: one stalled pin stalls all reclamation |
+//! | [`WfQueueHp`] / [`WfHpHandle`] | hazard pointers (the paper's §3.4) | wait-free: a stalled thread pins at most two nodes |
+//!
+//! Both run the identical protocol, including the node hand-off: a
+//! completed dequeue's descriptor word names the *value node*, which
+//! the owner's pin (epochs) or a two-token disposal gate (hazard
+//! pointers) keeps allocated until the owner took the value.
+//!
+//! Source map: the core is `queue.rs` (shared structure, Figures 2, 4
+//! and 6, fast path, reap) and `handle.rs` (entry points, helping
+//! policies, recovery, exit); the seam is `reclaim.rs`; the backends
+//! are `epoch.rs` and `hazard.rs`.
+//!
 //! # Memory management
 //!
 //! The paper's base algorithm leans on the Java GC; §3.4 discusses
@@ -53,27 +77,23 @@
 //!   pending/enqueue/node-address plus a version tag, and the phase) —
 //!   see `desc.rs`. Transitions are in-place CASes that bump the
 //!   version, so a helper CAS armed with a stale view fails even when
-//!   node recycling makes the *fields* reappear (the ABA the seed's
-//!   alloc-per-transition scheme dodged by address freshness).
-//! * **Nodes are recycled.** Sentinels unlinked by a thread's own head
-//!   swing enter a per-handle cache tagged with the retirement epoch
-//!   and are reused once `tag + 2 <= global_epoch()` — exactly the
-//!   maturity rule [crossbeam-epoch] applies before *freeing*, so
-//!   recycling is sound wherever freeing would have been. Matured nodes
-//!   a thread cannot reuse itself (a consumer's) move in chains to a
-//!   queue-wide node pool that other threads' enqueues steal from — the
-//!   same pool the [`hp`] variant fills through its token gate.
-//!   Overflow and handle exit fall back to `defer_destroy`.
+//!   node recycling makes the *fields* reappear.
+//! * **Nodes are recycled.** A retired sentinel becomes reusable once
+//!   the backend proves no thread can still reach it: under epochs when
+//!   it matures in the retiring handle's cache (`tag + 2 <=
+//!   global_epoch()`, the collector's own free rule), under hazard
+//!   pointers when both disposal tokens are set. Reusable nodes a
+//!   thread cannot use itself (a consumer's) reach other threads'
+//!   enqueues through one queue-wide node pool.
 //!
-//! Epoch reclamation is lock-free rather than wait-free; the paper's
-//! fully wait-free answer (hazard pointers) backs the [`hp`] variant in
-//! this crate and the `ms-queue` crate — see DESIGN.md for the
-//! substitution rationale and the full descriptor-memory discussion.
+//! See DESIGN.md for the substitution rationale and the full
+//! descriptor-memory discussion.
 //!
 //! # Thread identities
 //!
 //! `NUM_THRDS` in the paper becomes the `max_threads` constructor
-//! argument. Threads acquire a slot by calling [`WfQueue::register`],
+//! argument. Threads acquire a slot by calling
+//! [`register`](ConcurrentQueue::register),
 //! which draws a virtual ID from a wait-free long-lived-renaming pool
 //! (`idpool`), the relaxation §3.3 describes; dropping the handle
 //! releases the slot.
@@ -133,22 +153,52 @@
 mod chaos_hooks;
 mod config;
 mod desc;
+mod epoch;
 mod handle;
-pub mod hp;
+mod hazard;
 mod node;
 mod pool;
 mod queue;
 mod reap;
-mod recycle;
+mod reclaim;
 mod stats;
 
 pub use config::{Config, HelpPolicy, PhasePolicy};
-pub use hp::{PendingOpHp, WfHpHandle, WfQueueHp};
-#[doc(hidden)]
-pub use handle::PendingOp;
-pub use handle::WfHandle;
-pub use queue::WfQueue;
 pub use stats::StatsSnapshot;
+
+/// The Kogan–Petrank wait-free MPMC FIFO queue with epoch-based
+/// reclamation.
+///
+/// See the [crate documentation](crate) for the algorithm overview and
+/// the paper-variant table. Construct with `WfQueue::new` (default
+/// `opt WF (1+2)` configuration) or `WfQueue::with_config`, then call
+/// [`register`](ConcurrentQueue::register) from each participating
+/// thread.
+pub type WfQueue<T> = queue::KpQueue<T, epoch::Epoch>;
+
+/// A registered thread's handle to a [`WfQueue`].
+pub type WfHandle<'q, T> = handle::KpHandle<'q, T, epoch::Epoch>;
+
+/// The Kogan–Petrank wait-free queue with hazard-pointer reclamation
+/// (paper §3.4): both the queue operations *and* memory management are
+/// wait-free. Same API and [`Config`] variants as [`WfQueue`].
+pub type WfQueueHp<T> = queue::KpQueue<T, hazard::Hazard>;
+
+/// A registered thread's handle to a [`WfQueueHp`].
+pub type WfHpHandle<'q, T> = handle::KpHandle<'q, T, hazard::Hazard>;
+
+/// A stalled operation of a [`WfHandle`] (test infrastructure).
+#[doc(hidden)]
+pub type PendingOp<'h, 'q, T> = handle::KpPendingOp<'h, 'q, T, epoch::Epoch>;
+
+/// A stalled operation of a [`WfHpHandle`] (test infrastructure).
+#[doc(hidden)]
+pub type PendingOpHp<'h, 'q, T> = handle::KpPendingOp<'h, 'q, T, hazard::Hazard>;
+
+/// The hazard-pointer variant under its module path.
+pub mod hp {
+    pub use crate::{PendingOpHp, WfHpHandle, WfQueueHp};
+}
 
 pub use queue_traits::{ConcurrentQueue, QueueHandle, RegistrationError};
 

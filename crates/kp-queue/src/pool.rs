@@ -1,6 +1,6 @@
-//! The queue-wide node freelist, shared by both variants.
+//! The queue-wide node freelist, shared by both reclamation backends.
 //!
-//! Each queue owns one [`NodePool`]; the variants differ only in the
+//! Each queue owns one [`NodePool`]; the backends differ only in the
 //! **admission rule** deciding when a node may enter it:
 //!
 //! * epoch [`WfQueue`](crate::WfQueue): once the node has *matured* in
@@ -10,7 +10,7 @@
 //! * HP [`WfQueueHp`](crate::WfQueueHp): when either side of the
 //!   two-token disposal gate observes both tokens — the hazard scan
 //!   found the node uncovered *and* its dequeue owner took the value
-//!   (see `hp::queue::reclaim_into_pool`).
+//!   (see `crate::hazard`).
 //!
 //! Either way a pooled node is exclusively owned: no thread can still
 //! reach it through the queue. Handles allocate from a private [`Stash`]
@@ -37,9 +37,9 @@ use crate::chaos_hooks::inject;
 /// dropping our nodes costs little.
 const PUSH_ATTEMPTS: usize = 8;
 
-/// A heap node that can sit on a [`NodePool`]: both variants' nodes
-/// carry a free-list link that is meaningful only while pooled.
-pub(crate) trait PoolNode: Sized {
+/// A heap node that can sit on a [`NodePool`]: it carries a free-list
+/// link that is meaningful only while pooled.
+pub trait PoolNode: Sized {
     fn free_link(&self) -> &AtomicPtr<Self>;
 
     /// The free-list link. Relaxed, like [`set_next_free`]: a link is
@@ -59,7 +59,7 @@ pub(crate) trait PoolNode: Sized {
 }
 
 /// The shared node freelist (one per queue).
-pub(crate) struct NodePool<N: PoolNode> {
+pub struct NodePool<N: PoolNode> {
     /// Treiber head, linked through [`PoolNode::free_link`].
     head: AtomicPtr<N>,
     /// Approximate population (maintained racily; only bounds growth).
@@ -72,7 +72,7 @@ pub(crate) struct NodePool<N: PoolNode> {
     /// Nodes freed instead of pooled while reuse was *on* — the pool
     /// was at its cap or the push-contention bound tripped. The
     /// memory-pressure backpressure signal (DESIGN.md §13); folded into
-    /// `StatsSnapshot::cache_overflows` by both queues' `stats`. Kept
+    /// `StatsSnapshot::cache_overflows` by the queue's `stats`. Kept
     /// unconditional (not `stats`-gated) because pushes run from HP
     /// reclaim callbacks that have no access to the queue's `Stats`.
     overflows: AtomicUsize,
@@ -121,7 +121,7 @@ impl<N: PoolNode> NodePool<N> {
     ///
     /// The caller must hold every node of the chain exclusively —
     /// unlinked from the queue and unreachable to every other thread
-    /// (the variant's admission rule) — and give each up only once per
+    /// (the backend's admission rule) — and give each up only once per
     /// lifetime generation. Nodes must be `Box` allocations.
     pub(crate) unsafe fn push_chain(&self, first: *mut N, last: *mut N, n: usize) {
         if self.reuse && self.has_room() {
@@ -207,7 +207,7 @@ impl<N: PoolNode> Drop for NodePool<N> {
 
 /// A handle's private run of nodes stolen from the pool, linked through
 /// their free-list links. Every node on it is exclusively the handle's.
-pub(crate) struct Stash<N> {
+pub struct Stash<N> {
     head: *mut N,
 }
 
@@ -289,7 +289,7 @@ mod tests {
     use crate::node::Node;
 
     fn node(v: u32) -> *mut Node<u32> {
-        Box::into_raw(Box::new(Node::new(Some(v), 0)))
+        Node::boxed(Some(v), 0)
     }
 
     /// Frees the null-terminated list at `cur`, returning its values.

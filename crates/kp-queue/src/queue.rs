@@ -1,60 +1,68 @@
 //! The wait-free queue proper: shared structure and helping machinery
-//! (paper Figures 1, 2, 4 and 6).
+//! (paper Figures 1, 2, 4 and 6), the fast path and the reaper —
+//! written once over a [`Reclaim`] backend.
 //!
 //! Line references in comments (`L62`, `L74`, …) are to the paper's Java
 //! listings, so the transcription can be audited side by side.
 //!
 //! # Descriptor representation
 //!
-//! Unlike the paper's Java listing (and this crate's seed), `state[tid]`
-//! is not a pointer to a heap-allocated `OpDesc` but an in-place
-//! [`StateSlot`]: a packed control word plus a phase word, version-
-//! tagged so helper CASes holding stale views fail (see `crate::desc`
-//! for the packing and its invariants). Each slot is `CachePadded` so
-//! adjacent tids' owner stores and helper scans do not false-share.
-//! Every descriptor "allocation" and "retirement" of the seed becomes a
-//! store or CAS on the slot — the steady-state hot path performs zero
-//! heap allocations (nodes are recycled separately, see
-//! `crate::recycle`).
+//! Unlike the paper's Java listing, `state[tid]` is not a pointer to a
+//! heap-allocated `OpDesc` but an in-place [`StateSlot`]: a packed
+//! control word plus a phase word, version-tagged so helper CASes
+//! holding stale views fail (see `crate::desc` for the packing and its
+//! invariants). Each slot is `CachePadded` so adjacent tids' owner
+//! stores and helper scans do not false-share. A descriptor needs no
+//! protection of its own: it is a word, read with one atomic load, so
+//! only *nodes* go through the backend.
+//!
+//! # Node protection
+//!
+//! Every node dereference below is of a node loaded through
+//! [`Reclaim::protect`] (a head or tail) or covered by
+//! [`Reclaim::hold`] and then validated by re-reading its anchor (a
+//! successor). Under epochs both are plain loads and the operation's pin
+//! does the protecting; under hazard pointers they are the `H_NODE` /
+//! `H_NEXT` slots. The arguments below are therefore stated once: "a
+//! node is retired only after head moves off it", and retired nodes
+//! are reused only once the backend proves no protection covers them.
 //!
 //! # Memory-ordering audit
 //!
-//! The hot-path orderings were audited for this representation; the
-//! outcome (and why most loads *stay* SeqCst) is documented at each
-//! site and summarised in the crate docs. The short version: loads that
-//! gate helping decisions or descriptor transitions must not observe
-//! stale completed words — with node recycling, a stale completed word
-//! can carry the *same fields* as the current pending one and trigger
-//! the no-op skip, so those reads stay SeqCst; only diagnostics
-//! (`len_approx`/`is_empty`) and owner-private epilogues relax to
-//! Acquire.
+//! Loads that gate helping decisions or descriptor transitions must not
+//! observe stale completed words — with node recycling, a stale
+//! completed word can carry the *same fields* as the current pending one
+//! and trigger the no-op skip — so those reads stay SeqCst; see each
+//! site, the crate docs and DESIGN.md §11.
 
-use kp_sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::ptr;
 
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
-use kp_sync::CachePadded;
 use idpool::IdPool;
+use kp_sync::atomic::{AtomicI64, AtomicPtr, AtomicUsize, Ordering};
+use kp_sync::CachePadded;
 use queue_traits::{ConcurrentQueue, RegistrationError};
 
 use crate::chaos_hooks::inject;
 use crate::config::{Config, PhasePolicy};
 use crate::desc::StateSlot;
-use crate::handle::WfHandle;
+use crate::handle::KpHandle;
 use crate::node::{Node, FAST_DEQUEUER, FAST_ENQUEUER, NO_DEQUEUER};
 use crate::pool::NodePool;
-use crate::recycle::RetireCache;
+use crate::reclaim::{Reclaim, H_NEXT, H_NODE};
 use crate::stats::{Stats, StatsSnapshot};
 
-/// The Kogan–Petrank wait-free MPMC FIFO queue.
+/// The Kogan–Petrank wait-free MPMC FIFO queue over reclamation
+/// backend `R`; used through [`WfQueue`](crate::WfQueue) (epochs) and
+/// [`WfQueueHp`](crate::WfQueueHp) (hazard pointers, §3.4).
 ///
 /// See the [crate documentation](crate) for the algorithm overview and
-/// the paper-variant table. Construct with [`WfQueue::new`] (default
-/// `opt WF (1+2)` configuration) or [`WfQueue::with_config`], then call
+/// the paper-variant table. Construct with `new` (default
+/// `opt WF (1+2)` configuration) or `with_config`, then call
 /// [`register`](ConcurrentQueue::register) from each participating
 /// thread.
-pub struct WfQueue<T> {
-    pub(crate) head: CachePadded<Atomic<Node<T>>>,
-    pub(crate) tail: CachePadded<Atomic<Node<T>>>,
+pub struct KpQueue<T, R: Reclaim> {
+    pub(crate) head: CachePadded<AtomicPtr<Node<T>>>,
+    pub(crate) tail: CachePadded<AtomicPtr<Node<T>>>,
     /// One reusable descriptor slot per virtual thread ID (`state` in
     /// Figure 1), padded to its own cache line.
     pub(crate) state: Box<[CachePadded<StateSlot>]>,
@@ -62,30 +70,35 @@ pub struct WfQueue<T> {
     phase_counter: CachePadded<AtomicI64>,
     /// Virtual thread IDs (§3.3 long-lived renaming).
     pub(crate) ids: IdPool,
-    /// Per-tid epoch-participant token of the handle's current OS
-    /// thread (`crossbeam_epoch::participant_token`), published lazily
-    /// by the owner at operation start when the reaper is enabled and 0
-    /// otherwise. A reap uses it to quarantine a dead owner's wedged
-    /// pin so the epoch can advance again (DESIGN.md §13).
-    pub(crate) epoch_tokens: Box<[CachePadded<AtomicUsize>]>,
+    /// Per-tid participant token of the slot's current handle (the
+    /// epoch participant of its OS thread, or its hazard record), for
+    /// the reaper to quarantine a dead owner's participation
+    /// (DESIGN.md §13). `0` = none; the backend decides when it is
+    /// published.
+    pub(crate) tokens: Box<[CachePadded<AtomicUsize>]>,
     pub(crate) config: Config,
     pub(crate) stats: Stats,
-    /// Matured nodes handed over by full retire caches, stolen by the
-    /// handles whose own caches cannot feed their enqueues.
-    pub(crate) pool: NodePool<Node<T>>,
+    /// Queue-wide backend state. Declared before `pool` so it drops
+    /// first: the hazard domain's drop reclaims leftover retirees into
+    /// the pool.
+    pub(crate) domain: R::Domain,
+    /// Reclaimed nodes, stolen by handles whose own backend state
+    /// cannot feed their enqueues. Boxed so the address the hazard
+    /// backend hands its reclaim callbacks survives a move of the queue.
+    pub(crate) pool: Box<NodePool<Node<T>>>,
 }
 
 // SAFETY: all cross-thread traffic goes through atomics. The only
 // non-atomic shared data is each node's payload (written before the
-// node is published and taken exactly once by the unique thread whose
-// dequeue locked the node's predecessor — see `WfHandle::dequeue`) and
-// each node's `enq_tid` (rewritten only while the node is exclusively
-// owned, before republication — see `WfHandle::alloc_node`).
-unsafe impl<T: Send> Send for WfQueue<T> {}
+// node is published and taken exactly once by the unique dequeue owner
+// — see `KpHandle::read_deq_result`) and each node's `enq_tid`
+// (rewritten only while the node is exclusively owned, before
+// republication — see `KpHandle::alloc_node`).
+unsafe impl<T: Send, R: Reclaim> Send for KpQueue<T, R> {}
 // SAFETY: as for Send.
-unsafe impl<T: Send> Sync for WfQueue<T> {}
+unsafe impl<T: Send, R: Reclaim> Sync for KpQueue<T, R> {}
 
-impl<T: Send> WfQueue<T> {
+impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// Creates a queue for at most `max_threads` simultaneously
     /// registered handles, with the default (`opt WF (1+2)`) config.
     ///
@@ -110,30 +123,23 @@ impl<T: Send> WfQueue<T> {
             assert!(chunk > 0, "help chunk must be positive");
         }
         // Queue constructor, L27–35.
-        let sentinel = Owned::new(Node::sentinel());
-        let queue = WfQueue {
-            head: CachePadded::new(Atomic::null()),
-            tail: CachePadded::new(Atomic::null()),
+        let sentinel = Node::sentinel();
+        KpQueue {
+            head: CachePadded::new(AtomicPtr::new(sentinel)),
+            tail: CachePadded::new(AtomicPtr::new(sentinel)),
             state: (0..max_threads)
                 .map(|_| CachePadded::new(StateSlot::initial()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+                .collect(),
             phase_counter: CachePadded::new(AtomicI64::new(0)),
             ids: IdPool::new(max_threads),
-            epoch_tokens: (0..max_threads)
+            tokens: (0..max_threads)
                 .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+                .collect(),
             config,
             stats: Stats::default(),
-            pool: NodePool::new(config.reuse_nodes, crate::recycle::POOL_CAP),
-        };
-        // SAFETY: the queue is not yet shared.
-        let guard = unsafe { epoch::unprotected() };
-        let s = sentinel.into_shared(guard);
-        queue.head.store(s, Ordering::Relaxed);
-        queue.tail.store(s, Ordering::Relaxed);
-        queue
+            domain: R::domain(),
+            pool: Box::new(NodePool::new(config.reuse_nodes, R::POOL_CAP)),
+        }
     }
 
     /// The configuration this queue runs with.
@@ -148,7 +154,8 @@ impl<T: Send> WfQueue<T> {
     }
 
     /// A copy of the queue's helping statistics. `cache_overflows`
-    /// includes the shared pool's over-cap frees.
+    /// includes the shared pool's over-cap frees (counted pool-side,
+    /// because hazard reclaim callbacks cannot reach `Stats`).
     pub fn stats(&self) -> StatsSnapshot {
         #[allow(unused_mut)]
         let mut snapshot = self.stats.snapshot();
@@ -157,42 +164,6 @@ impl<T: Send> WfQueue<T> {
             snapshot.cache_overflows += self.pool.overflows();
         }
         snapshot
-    }
-
-    /// Approximate number of elements (O(n) walk; diagnostics only).
-    ///
-    /// Ordering relaxation: Acquire, not SeqCst. The result is advisory
-    /// — it participates in no helping decision and no proof obligation
-    /// — so all it needs is that a non-null `next` dereferences a fully
-    /// initialised node, which Acquire (paired with the release append
-    /// CAS) provides.
-    pub fn len_approx(&self) -> usize {
-        let guard = epoch::pin();
-        let mut n = 0;
-        let head = self.head.load(Ordering::Acquire, &guard);
-        // SAFETY: head is never null and reachable nodes live under pin.
-        let mut cur = unsafe { head.deref() }.next.load(Ordering::Acquire, &guard);
-        while !cur.is_null() {
-            n += 1;
-            // SAFETY: a non-null `next` reaches an initialised node kept live by
-            // the pin — same argument as for `head` above.
-            cur = unsafe { cur.deref() }.next.load(Ordering::Acquire, &guard);
-        }
-        n
-    }
-
-    /// True if the queue is observed empty.
-    ///
-    /// Ordering relaxation: Acquire — same advisory-only argument as
-    /// [`len_approx`](Self::len_approx).
-    pub fn is_empty(&self) -> bool {
-        let guard = epoch::pin();
-        let head = self.head.load(Ordering::Acquire, &guard);
-        // SAFETY: as in `len_approx`.
-        unsafe { head.deref() }
-            .next
-            .load(Ordering::Acquire, &guard)
-            .is_null()
     }
 
     // ------------------------------------------------------------------
@@ -240,42 +211,56 @@ impl<T: Send> WfQueue<T> {
 
     /// `help(phase)`, L36–47: scan the whole state array and help every
     /// pending operation no younger than `ph`.
-    pub(crate) fn help_all(
-        &self,
-        ph: i64,
-        helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
-    ) {
+    pub(crate) fn help_all(&self, l: &mut R::Local<'_, T>, ph: i64, helper: usize) {
         for i in 0..self.state.len() {
-            self.help_index(i, ph, helper, guard, cache);
+            self.help_index(l, i, ph, helper);
         }
     }
 
     /// One iteration of the `help()` scan body (L38–45), also used by
-    /// the chunked §3.3 policies.
+    /// the chunked §3.3 policies. The ctrl load is SeqCst for the same
+    /// helping-obligation reason as [`is_still_pending`].
     ///
-    /// The ctrl load is SeqCst for the same helping-obligation reason
-    /// as [`is_still_pending`](Self::is_still_pending).
-    pub(crate) fn help_index(
-        &self,
-        i: usize,
-        ph: i64,
-        helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
-    ) {
+    /// [`is_still_pending`]: Self::is_still_pending
+    pub(crate) fn help_index(&self, l: &mut R::Local<'_, T>, i: usize, ph: i64, helper: usize) {
         let (w, phase) = self.state[i].view(Ordering::SeqCst);
         if w.pending() && phase <= ph {
             if i != helper {
                 Stats::bump(&self.stats.help_calls);
             }
             if w.enqueue() {
-                self.help_enq(i, ph, helper, guard);
+                self.help_enq(l, i, ph, helper);
             } else {
-                self.help_deq(i, ph, helper, guard, cache);
+                self.help_deq(l, i, ph, helper);
             }
         }
+    }
+
+    /// Hands a sentinel just unlinked by a head CAS to the backend.
+    fn retire(&self, l: &mut R::Local<'_, T>, node: *mut Node<T>) {
+        // SAFETY: every caller is the unique winner of the head CAS that
+        // unlinked `node`, so it is retired exactly once.
+        if unsafe { R::retire(self, l, node) } {
+            Stats::bump(&self.stats.cache_overflows);
+        }
+    }
+
+    /// Takes the value out of a completed dequeue's value node and
+    /// tells the backend (which may then release the node).
+    ///
+    /// # Safety
+    ///
+    /// `node` is allocated, and the caller is the unique taker of its
+    /// value: the dequeue owner, a fast dequeuer whose lock won, or the
+    /// reaper that won the retire election.
+    pub(crate) unsafe fn take_value(&self, node: *mut Node<T>) -> Option<T> {
+        // SAFETY: caller contract; the enqueuer's write is ordered
+        // before by the release/acquire chain through the list links
+        // and the descriptor word.
+        let value = unsafe { (*(*node).value.get()).take() };
+        // SAFETY: as above — the unique taker reports once.
+        unsafe { R::consumed(self, node) };
+        value
     }
 
     // ------------------------------------------------------------------
@@ -285,61 +270,55 @@ impl<T: Send> WfQueue<T> {
     /// `help_enq(tid, phase)`, L67–84: drive thread `tid`'s pending
     /// enqueue until it is linearized (step 1 of the scheme: append the
     /// node at the end of the list).
-    pub(crate) fn help_enq(&self, tid: usize, ph: i64, helper: usize, guard: &Guard) {
+    pub(crate) fn help_enq(&self, l: &mut R::Local<'_, T>, tid: usize, ph: i64, helper: usize) {
         while self.is_still_pending(tid, ph) {
-            let last = self.tail.load(Ordering::SeqCst, guard); // L69
-            // SAFETY: tail is never null; the node it references is not
-            // retired before head passes it, which cannot happen while it
-            // is still the tail; we are pinned throughout (and recycled
-            // nodes obey the same maturity rule as freed ones, so our pin
-            // also keeps `last` out of any reuse cache hand-out).
-            let last_ref = unsafe { last.deref() };
-            let next = last_ref.next.load(Ordering::SeqCst, guard); // L70
-            if last == self.tail.load(Ordering::SeqCst, guard) {
-                // L71
-                if next.is_null() {
-                    // L72: enqueue can be applied.
-                    // L73: re-check, then read the node from the owner's
-                    // descriptor. Reading the slot once and using its own
-                    // fields is equivalent to the paper's repeated
-                    // `state.get(tid)` reads: if the descriptor changed,
-                    // the owner's node was already appended, which makes
-                    // `last.next` non-null and the CAS below fail (the
-                    // dangling-node invariant, §3.1). Node recycling does
-                    // not weaken this: CAS success proves `last.next` was
-                    // null, i.e. the node we read was never appended, so
-                    // the owner's operation cannot have completed and the
-                    // node cannot have been retired, let alone reused.
-                    // SeqCst keeps the read coherent with the pending
-                    // check inside `is_still_pending` above.
-                    let (w, phase) = self.state[tid].view(Ordering::SeqCst);
-                    if w.pending() && phase <= ph && w.enqueue() {
-                        inject!("kp.append");
-                        let node = Shared::from(w.node_ptr::<Node<T>>() as *const Node<T>);
-                        if last_ref
-                            .next
-                            .compare_exchange(
-                                Shared::null(),
-                                node,
-                                Ordering::SeqCst,
-                                Ordering::Relaxed,
-                                guard,
-                            )
-                            .is_ok()
-                        {
-                            // L74 succeeded: the operation is linearized.
-                            Stats::bump(&self.stats.appends_total);
-                            if helper != tid {
-                                Stats::bump(&self.stats.helped_appends);
-                            }
-                            self.help_finish_enq(guard); // L75
-                            return;
-                        }
+            let last = R::protect(l, H_NODE, &self.tail); // L69
+            // SAFETY: protected; tail is never null, and a node is
+            // retired only after head moves off it, which cannot happen
+            // while it is still the tail.
+            let next = unsafe { (*last).next.load(Ordering::SeqCst) }; // L70
+            if last != self.tail.load(Ordering::SeqCst) {
+                continue; // L71 failed
+            }
+            if next.is_null() {
+                // L72–74: append the owner's node. Reading the slot once
+                // and using its own fields is equivalent to the paper's
+                // repeated `state.get(tid)` reads: if the descriptor
+                // changed, the owner's node was already appended, which
+                // makes `last.next` non-null and the CAS below fail (the
+                // dangling-node invariant, §3.1). Node recycling does not
+                // weaken this: while `last` is protected it cannot be
+                // reclaimed and reused, so its `next` is write-once
+                // during the window — CAS success proves no append
+                // happened since our slot read, hence the node we read
+                // was never appended, retired or recycled. SeqCst keeps
+                // the read coherent with the pending check above.
+                let (w, phase) = self.state[tid].view(Ordering::SeqCst);
+                if w.pending() && phase <= ph && w.enqueue() {
+                    inject!(R::SITES.append);
+                    // SAFETY: `last` is protected.
+                    let appended = unsafe {
+                        (*last).next.compare_exchange(
+                            ptr::null_mut(),
+                            w.node_ptr(),
+                            Ordering::SeqCst,
+                            Ordering::Relaxed,
+                        )
                     }
-                } else {
-                    // L79: some enqueue is in progress; finish it first.
-                    self.help_finish_enq(guard); // L80
+                    .is_ok();
+                    if appended {
+                        // L74 succeeded: the operation is linearized.
+                        Stats::bump(&self.stats.appends_total);
+                        if helper != tid {
+                            Stats::bump(&self.stats.helped_appends);
+                        }
+                        self.help_finish_enq(l); // L75
+                        return;
+                    }
                 }
+            } else {
+                // L79–80: some enqueue is in progress; finish it first.
+                self.help_finish_enq(l);
             }
         }
     }
@@ -347,74 +326,69 @@ impl<T: Send> WfQueue<T> {
     /// `help_finish_enq()`, L85–97: steps 2 and 3 of the scheme — clear
     /// the owner's `pending` flag, then swing `tail` to the appended
     /// node.
-    pub(crate) fn help_finish_enq(&self, guard: &Guard) {
-        let last = self.tail.load(Ordering::SeqCst, guard); // L86
-        // SAFETY: as in `help_enq`.
-        let last_ref = unsafe { last.deref() };
-        let next = last_ref.next.load(Ordering::SeqCst, guard); // L87
-        if !next.is_null() {
-            // SAFETY: `next` was reachable from the pinned tail.
-            let next_ref = unsafe { next.deref() };
-            let tid = next_ref.enq_tid; // L89: owner of the dangling node
+    pub(crate) fn help_finish_enq(&self, l: &mut R::Local<'_, T>) {
+        let last = R::protect(l, H_NODE, &self.tail); // L86
+        // SAFETY: protected, as in `help_enq`.
+        let next = unsafe { (*last).next.load(Ordering::SeqCst) }; // L87
+        if next.is_null() {
+            return;
+        }
+        // Cover `next` before dereferencing: while `last` is still the
+        // tail, head ≤ last < next, so `next` cannot have been retired.
+        R::hold(l, H_NEXT, next);
+        if self.tail.load(Ordering::SeqCst) == last {
+            // SAFETY: covered and validated above.
+            let tid = unsafe { (*next).enq_tid }; // L89: owner of the dangling node
             if tid == FAST_ENQUEUER {
                 // Fast-path node: there is no descriptor to complete
                 // (the append CAS both linearized and acknowledged the
                 // operation), so step 2 — and the L91 descriptor
                 // identity check, which could never pass — is skipped.
-                // The tail CAS from `last` re-validates by itself: if
-                // tail already advanced, it fails harmlessly.
-                inject!("kp.swing_tail");
-                let _ = self.tail.compare_exchange(
-                    last,
-                    next,
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                    guard,
+                // The tail CAS from `last` re-validates by itself.
+                inject!(R::SITES.swing_tail);
+                let _ = self
+                    .tail
+                    .compare_exchange(last, next, Ordering::SeqCst, Ordering::Relaxed);
+            } else {
+                debug_assert!(
+                    tid < self.state.len(),
+                    "dangling node must carry a valid enqueuer tid"
                 );
-                return;
-            }
-            debug_assert!(
-                tid < self.state.len(),
-                "dangling node must carry a valid enqueuer tid"
-            );
-            // L90. SeqCst is required here, not Acquire: with node
-            // recycling an Acquire load may return an *old* completed
-            // word of a previous operation that reused the same node —
-            // its fields ({pending: false, enqueue, node == next}) equal
-            // the transition target, so `cas_ctrl`'s no-op skip would
-            // report step 2 done and we would swing the tail while the
-            // real current word is still pending, wedging the owner.
-            // SeqCst excludes this: this load is SC-after our `next`
-            // read, which is SC-after the append CAS, which is SC-after
-            // the owner's publish of the *current* word.
-            let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
-            // L91: `last` still tail and the owner's descriptor still
-            // refers to the dangling node (guards against a racing
-            // help_finish_enq having already completed a *different*
-            // operation of the same thread).
-            if last == self.tail.load(Ordering::SeqCst, guard)
-                && cur.node_addr() == next.as_raw() as usize
-            {
-                inject!("kp.clear_pending.enq");
-                // §3.3 enhancement: skip the descriptor CAS when the flag
-                // is already off (a racing helper beat us to step 2).
-                if !self.config.validate_before_cas || cur.pending() {
-                    // L92–93: step 2 — acknowledge linearization (a
-                    // version-tagged in-place transition; phase kept).
-                    self.state[tid].cas_ctrl(cur, next.as_raw() as usize, false, true);
+                // L90. SeqCst is required here, not Acquire: with node
+                // recycling an Acquire load may return an *old* completed
+                // word of a previous operation that reused the same node
+                // — its fields ({pending: false, enqueue, node == next})
+                // equal the transition target, so `cas_ctrl`'s no-op skip
+                // would report step 2 done and we would swing the tail
+                // while the real current word is still pending, wedging
+                // the owner. SeqCst excludes this: this load is SC-after
+                // our `next` read, which is SC-after the append CAS,
+                // which is SC-after the owner's publish of the *current*
+                // word.
+                let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
+                // L91: `last` still tail and the owner's descriptor still
+                // refers to the dangling node (guards against a racing
+                // help_finish_enq having already completed a *different*
+                // operation of the same thread).
+                if self.tail.load(Ordering::SeqCst) == last && cur.node_addr() == next as usize {
+                    inject!(R::SITES.clear_pending_enq);
+                    // §3.3 enhancement: skip the descriptor CAS when the
+                    // flag is already off (a racing helper beat us).
+                    if !self.config.validate_before_cas || cur.pending() {
+                        // L92–93: step 2 — acknowledge linearization (a
+                        // version-tagged in-place transition; phase kept).
+                        self.state[tid].cas_ctrl(cur, next as usize, false, true);
+                    }
+                    inject!(R::SITES.swing_tail);
+                    // L94: step 3 — fix tail. At most one of the racing
+                    // CASes succeeds; the others see tail already moved.
+                    let _ =
+                        self.tail
+                            .compare_exchange(last, next, Ordering::SeqCst, Ordering::Relaxed);
                 }
-                inject!("kp.swing_tail");
-                // L94: step 3 — fix tail. At most one of the racing CASes
-                // succeeds; the others observe tail already advanced.
-                let _ = self.tail.compare_exchange(
-                    last,
-                    next,
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                    guard,
-                );
             }
         }
+        R::clear(l, H_NEXT);
     }
 
     // ------------------------------------------------------------------
@@ -424,24 +398,13 @@ impl<T: Send> WfQueue<T> {
     /// `help_deq(tid, phase)`, L109–140: drive thread `tid`'s pending
     /// dequeue until it is linearized (either the sentinel is locked
     /// with `tid`, or the queue is observed empty).
-    pub(crate) fn help_deq(
-        &self,
-        tid: usize,
-        ph: i64,
-        helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
-    ) {
+    pub(crate) fn help_deq(&self, l: &mut R::Local<'_, T>, tid: usize, ph: i64, helper: usize) {
         while self.is_still_pending(tid, ph) {
-            let first = self.head.load(Ordering::SeqCst, guard); // L111
-            let last = self.tail.load(Ordering::SeqCst, guard); // L112
-            // SAFETY: head is never null; a sentinel is only retired
-            // after head moves off it, which our pin then defers (the
-            // reuse cache applies the same maturity rule before handing
-            // a node out, so the pin covers recycling too).
-            let first_ref = unsafe { first.deref() };
-            let next = first_ref.next.load(Ordering::SeqCst, guard); // L113
-            if first != self.head.load(Ordering::SeqCst, guard) {
+            let first = R::protect(l, H_NODE, &self.head); // L111
+            let last = self.tail.load(Ordering::SeqCst); // L112
+            // SAFETY: protected; head is never null.
+            let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L113
+            if self.head.load(Ordering::SeqCst) != first {
                 continue; // L114 failed: restart
             }
             if first == last {
@@ -455,53 +418,47 @@ impl<T: Send> WfQueue<T> {
                     // emptiness observation that predates the dequeue's
                     // phase selection (the L117–119 doorway guard).
                     let (cur, phase) = self.state[tid].view(Ordering::SeqCst);
-                    if last == self.tail.load(Ordering::SeqCst, guard)
-                        && cur.pending()
-                        && phase <= ph
-                    {
-                        inject!("kp.clear_pending.deq_empty");
-                        // L118–120: record the empty result (node = null)
-                        // and clear pending. Transition failure means
-                        // another helper resolved the operation.
+                    if self.tail.load(Ordering::SeqCst) == last && cur.pending() && phase <= ph {
+                        inject!(R::SITES.clear_pending_deq_empty);
+                        // L118–120: record the empty result (node =
+                        // null) and clear pending. Transition failure
+                        // means another helper resolved the operation.
                         self.state[tid].cas_ctrl(cur, 0, false, false);
                     }
                 } else {
-                    // L122: an enqueue is in progress; help it first.
-                    self.help_finish_enq(guard); // L123
+                    // L122–123: an enqueue is in progress; help it first.
+                    self.help_finish_enq(l);
                 }
             } else {
-                // L125: queue is not empty.
-                // L126: SeqCst for the same helping-correctness reasons
-                // as L117/L146.
+                // L125: queue is not empty. L126: SeqCst for the same
+                // helping-correctness reasons as L117/L146.
                 let (cur, phase) = self.state[tid].view(Ordering::SeqCst);
                 if !(cur.pending() && phase <= ph) {
                     break; // L128
                 }
-                let node = cur.node_addr(); // L127
                 // L129–134: stage 0 — point the owner's descriptor at the
                 // current sentinel, so helpers racing between the empty
                 // and non-empty paths agree on which node the operation
                 // is about to remove.
-                if first == self.head.load(Ordering::SeqCst, guard)
-                    && node != first.as_raw() as usize
-                {
-                    inject!("kp.bind_sentinel");
-                    if !self.state[tid].cas_ctrl(cur, first.as_raw() as usize, true, false) {
+                if self.head.load(Ordering::SeqCst) == first && cur.node_addr() != first as usize {
+                    inject!(R::SITES.bind_sentinel);
+                    if !self.state[tid].cas_ctrl(cur, first as usize, true, false) {
                         continue; // L132: descriptor changed; restart
                     }
                 }
-                inject!("kp.lock_sentinel");
+                inject!(R::SITES.lock_sentinel);
                 // L135: step 1 — lock the sentinel with the owner's tid
                 // (linearization point of a successful dequeue).
-                let locked = first_ref
-                    .deq_tid
-                    .compare_exchange(
+                // SAFETY: `first` is still protected.
+                let locked = unsafe {
+                    (*first).deq_tid.compare_exchange(
                         NO_DEQUEUER,
                         tid as isize,
                         Ordering::SeqCst,
                         Ordering::Relaxed,
                     )
-                    .is_ok();
+                }
+                .is_ok();
                 if locked {
                     Stats::bump(&self.stats.locks_total);
                     if helper != tid {
@@ -509,76 +466,75 @@ impl<T: Send> WfQueue<T> {
                     }
                 }
                 // L136: complete whichever dequeue locked the sentinel.
-                self.help_finish_deq(guard, cache);
+                self.help_finish_deq(l);
             }
         }
     }
 
     /// `help_finish_deq()`, L141–153: steps 2 and 3 — clear the locking
     /// owner's `pending` flag, then swing `head` past the sentinel.
-    pub(crate) fn help_finish_deq(&self, guard: &Guard, cache: &mut RetireCache<T>) {
-        let first = self.head.load(Ordering::SeqCst, guard); // L142
-        // SAFETY: as in `help_deq`.
-        let first_ref = unsafe { first.deref() };
-        let next = first_ref.next.load(Ordering::SeqCst, guard); // L143
-        let tid = first_ref.deq_tid.load(Ordering::SeqCst); // L144
-        if tid == FAST_DEQUEUER {
-            // Fast-locked sentinel: the `deqTid` CAS both linearized
-            // the dequeue and granted the fast dequeuer unique value
-            // ownership (no descriptor courier), so step 2 is skipped.
-            // Step 3 and the winner-retires rule are unchanged.
-            inject!("kp.swing_head");
-            if first == self.head.load(Ordering::SeqCst, guard)
-                && !next.is_null()
-                && self
-                    .head
-                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed, guard)
-                    .is_ok()
-            {
-                // SAFETY: `first` is now unreachable from the queue and
-                // retired exactly once (by the unique CAS winner).
-                if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard, &self.pool) } {
-                    Stats::bump(&self.stats.cache_overflows);
-                }
-            }
-            return;
-        }
-        if tid != NO_DEQUEUER {
-            // A locked sentinel was observed: the window between dequeue
-            // steps 1 and 2.
-            inject!("kp.clear_pending.deq");
-            let tid = tid as usize;
-            // L146: SeqCst — symmetric to the L90 argument: an
-            // Acquire-stale completed word of an *older* dequeue that
-            // bound the same recycled sentinel would no-op-skip step 2
-            // and let us swing head with the current operation still
-            // pending.
-            let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
-            if first == self.head.load(Ordering::SeqCst, guard) && !next.is_null() {
-                // L147
-                if !self.config.validate_before_cas || cur.pending() {
-                    // L148–149: step 2 — acknowledge linearization,
-                    // keeping the descriptor's sentinel reference (the
-                    // owner reads the value through it, L103–107).
-                    self.state[tid].cas_ctrl(cur, cur.node_addr(), false, false);
-                }
-                inject!("kp.swing_head");
-                // L150: step 3 — fix head. The winner owns the unlinked
-                // sentinel's retirement: it goes to the winner's reuse
-                // cache (or the epoch collector), which holds it until
-                // no pin that could observe it remains.
-                if self
-                    .head
-                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed, guard)
-                    .is_ok()
-                {
-                    // SAFETY: `first` is now unreachable from the queue
-                    // and retired exactly once (by the unique CAS winner).
-                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard, &self.pool) } {
-                        Stats::bump(&self.stats.cache_overflows);
+    ///
+    /// Step 2 hands the owner its value: the completed word names `next`
+    /// — the *value node*, about to become the new sentinel — instead of
+    /// couriering the value through a descriptor (§3.4's suggestion; a
+    /// packed word cannot carry a `T`). The owner takes the value out of
+    /// that node in `KpHandle::read_deq_result`.
+    pub(crate) fn help_finish_deq(&self, l: &mut R::Local<'_, T>) {
+        let first = R::protect(l, H_NODE, &self.head); // L142
+        // SAFETY: protected.
+        let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L143
+        // Cover `next` before the head swing: while `first` is still the
+        // head, `next` cannot have been retired (head must pass `first`
+        // before it can pass `next`).
+        R::hold(l, H_NEXT, next);
+        if self.head.load(Ordering::SeqCst) == first && !next.is_null() {
+            // SAFETY: `first` is protected.
+            let tid = unsafe { (*first).deq_tid.load(Ordering::SeqCst) }; // L144
+            if tid == FAST_DEQUEUER {
+                // Fast-locked sentinel: the `deqTid` CAS both linearized
+                // the dequeue and made the fast dequeuer the unique value
+                // taker, so step 2 is skipped. Step 3 and the
+                // winner-retires rule are unchanged.
+                inject!(R::SITES.swing_head);
+                self.swing_head(l, first, next);
+            } else if tid != NO_DEQUEUER {
+                // A locked sentinel was observed: the window between
+                // dequeue steps 1 and 2.
+                inject!(R::SITES.clear_pending_deq);
+                let tid = tid as usize;
+                // L146: SeqCst — symmetric to the L90 argument: an
+                // Acquire-stale completed word of an *older* dequeue that
+                // was handed the same recycled node would no-op-skip
+                // step 2 and let us swing head with the current
+                // operation still pending.
+                let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
+                // L147. All step-2 racers compute the same `next`: they
+                // all validated `first` as head while protecting it, and
+                // a protected node's `next` is write-once.
+                if self.head.load(Ordering::SeqCst) == first {
+                    if !self.config.validate_before_cas || cur.pending() {
+                        // L148–149: step 2 — acknowledge linearization
+                        // and hand the owner its value node.
+                        self.state[tid].cas_ctrl(cur, next as usize, false, false);
                     }
+                    inject!(R::SITES.swing_head);
+                    self.swing_head(l, first, next); // L150
                 }
             }
+        }
+        R::clear(l, H_NEXT);
+    }
+
+    /// Step 3 of a dequeue (L150): fix head. At most one racing CAS
+    /// wins, and the winner alone retires the unlinked sentinel (§3.4's
+    /// "RetireNode at the end of help_deq" point).
+    fn swing_head(&self, l: &mut R::Local<'_, T>, first: *mut Node<T>, next: *mut Node<T>) {
+        if self
+            .head
+            .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.retire(l, first);
         }
     }
 
@@ -599,36 +555,36 @@ impl<T: Send> WfQueue<T> {
     /// so the slot must not be retired before the tail passed it), win
     /// the [`StateSlot::try_retire`] election, and only as the election
     /// winner perform the two destructive steps: claim-and-discard an
-    /// unclaimed dequeue result, and quarantine the victim's wedged
-    /// epoch pin. Finally the lease is returned to the pool
+    /// unclaimed dequeue result, and quarantine the victim's
+    /// participation (its wedged epoch pin or its leaked hazard record)
+    /// through the backend. Finally the lease is returned to the pool
     /// (`finish_reap`), making the virtual ID acquirable again.
     ///
     /// [`StateSlot::try_retire`]: crate::desc::StateSlot::try_retire
     pub(crate) fn reap_slot(
         &self,
+        l: &mut R::Local<'_, T>,
         victim: usize,
         generation: u64,
         helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
     ) {
-        inject!("kp.reap.adopt");
+        inject!(R::SITES.reap_adopt);
         let (w0, phase0) = self.state[victim].view(Ordering::SeqCst);
         let was_pending = w0.pending();
         if was_pending {
             Stats::bump(&self.stats.reap_adoptions);
             if w0.enqueue() {
-                self.help_enq(victim, phase0, helper, guard);
+                self.help_enq(l, victim, phase0, helper);
             } else {
-                self.help_deq(victim, phase0, helper, guard, cache);
+                self.help_deq(l, victim, phase0, helper);
             }
         }
         // The L91 wedge: the tail must move past any node the victim's
         // descriptor references before the descriptor may be blanked
-        // (same argument as `WfHandle::drop`). Head driven for symmetry.
-        self.help_finish_enq(guard);
-        self.help_finish_deq(guard, cache);
-        inject!("kp.reap.retire");
+        // (same argument as `KpHandle::drop`). Head driven for symmetry.
+        self.help_finish_enq(l);
+        self.help_finish_deq(l);
+        inject!(R::SITES.reap_retire);
         let w1 = self.state[victim].load_ctrl(Ordering::SeqCst);
         if w1.pending() {
             // Only reachable if the "dead" owner published a new
@@ -645,83 +601,32 @@ impl<T: Send> WfQueue<T> {
             // and skips both.
             if was_pending && !w1.enqueue() && !w1.node_is_null() {
                 // The victim died mid-dequeue and the operation
-                // completed non-empty during *this* reap (we observed
-                // it pending under `guard`). Nobody will ever run the
-                // owner's epilogue: claim and discard the value so
-                // conservation stays exact.
+                // completed non-empty during *this* reap. Nobody will
+                // ever run the owner's epilogue: claim and discard the
+                // value so conservation stays exact.
                 //
-                // SAFETY: `w1` names the sentinel the adopted dequeue
-                // locked. We observed the op pending under our pin, so
-                // its step-3 head swing — the retirement point — is
-                // ordered after our pin began and the node (and its
-                // successor) outlives `guard`. The try_retire election
-                // makes us the unique claimant, re-establishing the
-                // deq_tid-uniqueness take argument of
-                // `WfHandle::read_deq_result`.
-                let node = w1.node_ptr::<Node<T>>();
-                // SAFETY: liveness per the block comment above — the
-                // node outlives `guard`.
-                let next = unsafe { &*node }.next.load(Ordering::Acquire, guard);
-                debug_assert!(!next.is_null(), "locked sentinel must have a successor");
-                // SAFETY: as above; each value is taken exactly once.
-                let value = unsafe { (*next.deref().value.get()).take() };
+                // SAFETY: `w1` names the value node the step-2 CAS handed
+                // the victim during this reap (we saw the word pending),
+                // so the node is allocated by the argument of
+                // `KpHandle::read_deq_result`, with this reap standing in
+                // for the owner's operation scope. The try_retire
+                // election makes us the unique claimant.
+                let value = unsafe { self.take_value(w1.node_ptr()) };
                 debug_assert!(value.is_some(), "reaped dequeue result already taken");
                 drop(value);
             }
-            // Quarantine the victim's epoch participation, but only
-            // when it is actually wedged (a pin leaked at death). An
-            // unpinned participant needs nothing: a live pin() re-reads
-            // the global epoch, and a dead thread's TLS destructor
-            // already deregistered it. The swap also prevents a later
-            // reap of this slot's next lease from acting on a stale
-            // token.
-            let token = self.epoch_tokens[victim].swap(0, Ordering::SeqCst);
-            // `token == participant_token()`: the victim handle last ran
-            // on *this* OS thread (epoch participation is per-thread,
-            // and several virtual ids can share a thread). Our own
-            // participant is pinned right now — by us, the reaper — not
-            // wedged by the dead handle; quarantining it would erase our
-            // live pin. Skip: nothing is wedged in that case.
-            //
-            // The publisher scan generalizes that to *any* live handle
-            // sharing the victim's OS thread: a handle publishes its
-            // token (op_prologue) before it pins, so a handle currently
-            // inside an operation on that thread is visible in some
-            // other `epoch_tokens` slot — its pin is live, not wedged,
-            // and must not be erased. Two reapers racing on two
-            // abandoned slots that share a token cannot *both* skip:
-            // each swaps its victim's slot to 0 before scanning
-            // (SeqCst), so at least one scan runs after both swaps and
-            // finds no publisher. A double quarantine is idempotent.
-            // Residual window: a brand-new handle's first publish on
-            // the victim's thread racing this scan — see DESIGN.md
-            // §13.4 (the wall-clock reap floor makes it require a
-            // patience-window-long preemption inside a few-instruction
-            // prologue).
-            let shared_by_live_handle = || {
-                self.epoch_tokens
-                    .iter()
-                    .enumerate()
-                    .any(|(i, t)| i != victim && t.load(Ordering::SeqCst) == token)
-            };
-            if token != 0
-                && token != epoch::participant_token()
-                && !shared_by_live_handle()
-                && epoch::participant_is_pinned(token)
-            {
-                // SAFETY: the lease revocation (begin_reap/takeover)
-                // poisons the handle — a surviving owner's next op
-                // panics before touching the queue — so the
-                // participant is never used for this queue again;
-                // using it from *another* queue on the same (dead by
-                // contract) thread is the documented lease-contract
-                // violation (DESIGN.md §13).
-                if unsafe { epoch::quarantine_participant(token) } {
-                    Stats::bump(&self.stats.quarantines);
-                }
+            // Taken exactly once (zeroing the slot), so a later reap of
+            // this slot's next lease cannot act on a stale token.
+            let token = self.tokens[victim].swap(0, Ordering::SeqCst);
+            // SAFETY: the lease revocation (begin_reap/takeover) poisons
+            // the victim handle — its next operation panics before
+            // touching the queue, and a reaped handle's exit leaves its
+            // participation alone — and we won the election.
+            if token != 0 && unsafe { R::quarantine(self, victim, token) } {
+                Stats::bump(&self.stats.quarantines);
             }
         }
-        inject!("kp.reap.finish");
+        inject!(R::SITES.reap_finish);
         if self.ids.finish_reap(victim, generation) {
             Stats::bump(&self.stats.reaps);
         }
@@ -736,12 +641,14 @@ impl<T: Send> WfQueue<T> {
     /// Bounded lock-free enqueue attempt. `node` is still private to
     /// the caller and carries `enq_tid == FAST_ENQUEUER`; at most
     /// `budget` loop iterations run (the handle's — possibly
-    /// per-handle-overridden — `max_fast_failures`). Returns `true` once the
-    /// append CAS — the same linearization point as the slow path's
+    /// per-handle-overridden — `max_fast_failures`). Returns `true` once
+    /// the append CAS — the same linearization point as the slow path's
     /// L74 — succeeds. `false` means every iteration lost to a
     /// concurrent operation (each failure proves one succeeded, which
     /// bounds the loop by global progress), leaving `node` private so
-    /// the caller can demote it to the slow path.
+    /// the caller can demote it to the slow path. With `budget` `None`
+    /// the loop runs until the append lands and skips the step-3 tail
+    /// swing: the test fixture behind `KpHandle::fast_append_unswung`.
     ///
     /// `inflight` is the caller's panic-recovery tracker for the
     /// private node: it is cleared the instant the append CAS publishes
@@ -749,106 +656,60 @@ impl<T: Send> WfQueue<T> {
     /// `fast.swing_tail` chaos site) cannot double-free it.
     pub(crate) fn try_fast_enqueue(
         &self,
+        l: &mut R::Local<'_, T>,
         node: *mut Node<T>,
-        budget: usize,
+        budget: Option<usize>,
         inflight: &mut *mut Node<T>,
-        guard: &Guard,
     ) -> bool {
         // SAFETY: the caller owns `node` exclusively until the append
         // CAS publishes it.
         debug_assert_eq!(unsafe { &*node }.enq_tid, FAST_ENQUEUER);
-        let new = Shared::from(node as *const Node<T>);
-        for _ in 0..budget {
-            inject!("kp.fast.enq");
-            let last = self.tail.load(Ordering::SeqCst, guard);
-            // SAFETY: as in `help_enq` — tail is never null and our pin
-            // defers retirement/reuse of any node it reaches.
-            let last_ref = unsafe { last.deref() };
-            let next = last_ref.next.load(Ordering::SeqCst, guard);
-            if last != self.tail.load(Ordering::SeqCst, guard) {
+        for _ in 0..budget.unwrap_or(usize::MAX) {
+            inject!(R::SITES.fast_enq);
+            let last = R::protect(l, H_NODE, &self.tail);
+            // SAFETY: protected, as in `help_enq` — its `next` is
+            // write-once during the window below.
+            let next = unsafe { (*last).next.load(Ordering::SeqCst) };
+            if self.tail.load(Ordering::SeqCst) != last {
                 continue;
             }
-            if next.is_null() {
-                if last_ref
-                    .next
-                    .compare_exchange(
-                        Shared::null(),
-                        new,
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                        guard,
-                    )
-                    .is_ok()
-                {
-                    // Linearized (the shared L74 append point); the
-                    // node is public now — recovery must not free it.
-                    *inflight = std::ptr::null_mut();
-                    Stats::bump(&self.stats.appends_total);
-                    inject!("kp.fast.swing_tail");
-                    // Step 3, best effort: any helper's
-                    // help_finish_enq (FAST_ENQUEUER branch) also
-                    // swings the tail past our node.
-                    let _ = self.tail.compare_exchange(
-                        last,
-                        new,
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                        guard,
-                    );
-                    return true;
-                }
-            } else {
+            if !next.is_null() {
                 // Tail lags behind a dangling node (fast or slow):
                 // finish that enqueue first, exactly like L79–80 — this
-                // is what keeps a slow-path append's step-2-before-
-                // step-3 order intact when fast ops race it.
-                self.help_finish_enq(guard);
+                // keeps a slow-path append's step-2-before-step-3 order
+                // intact when fast ops race it.
+                self.help_finish_enq(l);
+                continue;
+            }
+            // SAFETY: `last` is protected.
+            let appended = unsafe {
+                (*last).next.compare_exchange(
+                    ptr::null_mut(),
+                    node,
+                    Ordering::SeqCst,
+                    Ordering::Relaxed,
+                )
+            }
+            .is_ok();
+            if appended {
+                // Linearized (the shared L74 append point); the node is
+                // public now — recovery must not free it.
+                *inflight = ptr::null_mut();
+                Stats::bump(&self.stats.appends_total);
+                if budget.is_none() {
+                    R::clear(l, H_NODE);
+                    return true;
+                }
+                inject!(R::SITES.fast_swing_tail);
+                // Step 3, best effort: any helper's help_finish_enq
+                // (FAST_ENQUEUER branch) also swings the tail past us.
+                let _ = self
+                    .tail
+                    .compare_exchange(last, node, Ordering::SeqCst, Ordering::Relaxed);
+                return true;
             }
         }
         false
-    }
-
-    /// Test infrastructure (reached through the `#[doc(hidden)]`
-    /// `WfHandle::fast_append_unswung`): performs the fast-path append
-    /// CAS and then deliberately **skips** the step-3 tail swing,
-    /// leaving the tail lagging — the exact shared state a thread
-    /// killed at `kp.fast.swing_tail` leaves behind when nothing runs
-    /// its unwind recovery (sudden death). The value *is* linearized
-    /// (the append CAS is the linearization point). Loops until the
-    /// append lands so the resulting wedge is deterministic.
-    pub(crate) fn append_no_swing(&self, node: *mut Node<T>, guard: &Guard) {
-        // SAFETY: the caller owns `node` exclusively until the append
-        // CAS publishes it.
-        debug_assert_eq!(unsafe { &*node }.enq_tid, FAST_ENQUEUER);
-        let new = Shared::from(node as *const Node<T>);
-        loop {
-            let last = self.tail.load(Ordering::SeqCst, guard);
-            // SAFETY: as in `try_fast_enqueue` — tail is never null and
-            // our pin defers retirement/reuse of any node it reaches.
-            let last_ref = unsafe { last.deref() };
-            let next = last_ref.next.load(Ordering::SeqCst, guard);
-            if last != self.tail.load(Ordering::SeqCst, guard) {
-                continue;
-            }
-            if next.is_null() {
-                if last_ref
-                    .next
-                    .compare_exchange(
-                        Shared::null(),
-                        new,
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                        guard,
-                    )
-                    .is_ok()
-                {
-                    Stats::bump(&self.stats.appends_total);
-                    return;
-                }
-            } else {
-                self.help_finish_enq(guard);
-            }
-        }
     }
 
     /// Bounded lock-free dequeue attempt. Linearizes either empty (the
@@ -860,82 +721,66 @@ impl<T: Send> WfQueue<T> {
     /// vice versa. Lock success proves the sentinel was never dequeued
     /// and hence is still the head, making the value transfer uniquely
     /// ours.
-    pub(crate) fn try_fast_dequeue(
-        &self,
-        budget: usize,
-        cache: &mut RetireCache<T>,
-        guard: &Guard,
-    ) -> FastDeq<T> {
+    pub(crate) fn try_fast_dequeue(&self, l: &mut R::Local<'_, T>, budget: usize) -> FastDeq<T> {
         for _ in 0..budget {
-            inject!("kp.fast.deq");
-            let first = self.head.load(Ordering::SeqCst, guard);
-            let last = self.tail.load(Ordering::SeqCst, guard);
-            // SAFETY: as in `help_deq` — head is never null; sentinel
-            // retirement is deferred past our pin.
-            let first_ref = unsafe { first.deref() };
-            let next = first_ref.next.load(Ordering::SeqCst, guard);
-            if first != self.head.load(Ordering::SeqCst, guard) {
+            inject!(R::SITES.fast_deq);
+            let first = R::protect(l, H_NODE, &self.head);
+            let last = self.tail.load(Ordering::SeqCst);
+            // SAFETY: protected; head is never null.
+            let next = unsafe { (*first).next.load(Ordering::SeqCst) };
+            // Cover `next` before any dereference: while `first` is
+            // still the head, `next` cannot have been retired.
+            R::hold(l, H_NEXT, next);
+            if self.head.load(Ordering::SeqCst) != first {
+                R::clear(l, H_NEXT);
                 continue;
             }
             if first == last {
+                R::clear(l, H_NEXT);
                 if next.is_null() {
                     // Empty: linearizes at the `next` load above (the
                     // L115–120 shape without a descriptor record).
                     Stats::bump(&self.stats.empty_dequeues);
                     return FastDeq::Done(None);
                 }
-                // An enqueue is mid-flight; help it land first
-                // (L122–123).
-                self.help_finish_enq(guard);
+                // An enqueue is mid-flight; help it land (L122–123).
+                self.help_finish_enq(l);
                 continue;
             }
-            if first_ref
-                .deq_tid
-                .compare_exchange(
+            // SAFETY: `first` is protected.
+            let locked = unsafe {
+                (*first).deq_tid.compare_exchange(
                     NO_DEQUEUER,
                     FAST_DEQUEUER,
                     Ordering::SeqCst,
                     Ordering::Relaxed,
                 )
-                .is_ok()
-            {
-                // Step 1 won: the dequeue is linearized.
-                Stats::bump(&self.stats.locks_total);
-                // SAFETY: a locked sentinel's `next` is immutable and
-                // kept live by our pin; the lock made us the unique
-                // taker of its successor's value (a node's value is
-                // taken exactly once, by whoever locks its
-                // predecessor).
-                let next_ref = unsafe { next.deref() };
-                // SAFETY: value uniqueness — see the lock argument
-                // above; the enqueuer's write is released by its append
-                // CAS and acquired by our SeqCst next load.
-                let taken = unsafe { (*next_ref.value.get()).take() };
-                // Checked in release builds on purpose: an invariant
-                // break here (e.g. a reap-path double-take) must panic,
-                // never become UB. The branch is perfectly predicted.
-                let value =
-                    taken.expect("fast-locked sentinel's successor must hold a value");
-                inject!("kp.fast.swing_head");
-                // Step 3, best effort: a helper's help_finish_deq
-                // (FAST_DEQUEUER branch) also swings; the CAS winner
-                // owns the sentinel's retirement.
-                if self
-                    .head
-                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed, guard)
-                    .is_ok()
-                {
-                    // SAFETY: `first` is now unreachable and retired
-                    // exactly once (by the unique CAS winner).
-                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard, &self.pool) } {
-                        Stats::bump(&self.stats.cache_overflows);
-                    }
-                }
-                return FastDeq::Done(Some(value));
             }
-            // Lost the lock to a concurrent dequeue (fast or slow):
-            // complete it so head advances, then retry.
-            self.help_finish_deq(guard, cache);
+            .is_ok();
+            if !locked {
+                // Lost the lock to a concurrent dequeue (fast or slow):
+                // complete it so head advances, then retry.
+                R::clear(l, H_NEXT);
+                self.help_finish_deq(l);
+                continue;
+            }
+            // Step 1 won: the dequeue is linearized.
+            Stats::bump(&self.stats.locks_total);
+            // SAFETY: `next` is covered and was validated while `first`
+            // was still the head; the lock made us the unique taker of
+            // its value (a node's value is taken exactly once, by
+            // whoever locks its predecessor).
+            let taken = unsafe { self.take_value(next) };
+            // Checked in release builds on purpose: an invariant break
+            // here (e.g. a reap-path double-take) must panic, never
+            // become UB. The branch is perfectly predicted.
+            let value = taken.expect("fast-locked sentinel's successor must hold a value");
+            inject!(R::SITES.fast_swing_head);
+            // Step 3, best effort: a helper's help_finish_deq
+            // (FAST_DEQUEUER branch) also swings.
+            self.swing_head(l, first, next);
+            R::clear(l, H_NEXT);
+            return FastDeq::Done(Some(value));
         }
         FastDeq::Exhausted
     }
@@ -950,15 +795,18 @@ pub(crate) enum FastDeq<T> {
     Exhausted,
 }
 
-impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
+impl<T: Send, R: Reclaim> ConcurrentQueue<T> for KpQueue<T, R> {
     type Handle<'a>
-        = WfHandle<'a, T>
+        = KpHandle<'a, T, R>
     where
         T: 'a;
 
     fn register(&self) -> Result<Self::Handle<'_>, RegistrationError> {
         match self.ids.acquire() {
-            Some(id) => Ok(WfHandle::new(self, id)),
+            Some(id) => {
+                let local = R::register(self, id.id());
+                Ok(KpHandle::new(self, id, local))
+            }
             None => Err(RegistrationError {
                 capacity: self.max_threads(),
             }),
@@ -995,9 +843,9 @@ impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
         }
     }
 
-    /// The memory-pressure signal: retire-cache overflows pushed to
-    /// the epoch collector plus the pool's over-cap frees — the same
-    /// composition as [`WfQueue::stats`]. Zero with `stats` off.
+    /// The memory-pressure signal: retire-cache overflows plus the
+    /// pool's over-cap frees — the same composition as `stats()`. Zero
+    /// with `stats` off.
     fn pressure_hint(&self) -> u64 {
         #[cfg(feature = "stats")]
         {
@@ -1010,28 +858,27 @@ impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
     }
 }
 
-impl<T> Drop for WfQueue<T> {
+impl<T, R: Reclaim> Drop for KpQueue<T, R> {
     fn drop(&mut self) {
         // Exclusive access: free the node list (values still resident
-        // are dropped with their nodes). Descriptors are in-place slot
-        // words now — nothing to free.
-        // SAFETY: `&mut self` — no thread can still be pinned in this queue.
-        let guard = unsafe { epoch::unprotected() };
-        let mut cur = self.head.load(Ordering::Relaxed, guard);
+        // drop with their nodes; consumed ones are `None`). Descriptors
+        // are in-place slot words — nothing to free. Retired nodes
+        // belong to the backend, pooled ones to the pool; both drop
+        // after this body, in that order.
+        let mut cur = *self.head.get_mut();
         while !cur.is_null() {
             // SAFETY: exclusive access; list nodes are owned by the list.
-            let node = unsafe { cur.into_owned() };
-            cur = node.next.load(Ordering::Relaxed, guard);
+            let node = unsafe { Box::from_raw(cur) };
+            cur = node.next.load(Ordering::Relaxed);
         }
     }
 }
 
-impl<T: Send> std::fmt::Debug for WfQueue<T> {
+impl<T: Send, R: Reclaim> std::fmt::Debug for KpQueue<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WfQueue")
+        f.debug_struct(R::NAME)
             .field("max_threads", &self.max_threads())
             .field("config", &self.config)
-            .field("len_approx", &self.len_approx())
             .finish()
     }
 }

@@ -21,7 +21,9 @@
 //!
 //! The struct is deliberately dumb state: the decision of *what to do*
 //! with a frozen slot (begin a reap, take over a stalled one) lives in
-//! the handles, next to the queue-variant-specific reap execution.
+//! `KpHandle::reap_tick`, and the reap itself in `KpQueue::reap_slot`
+//! — one copy for both reclamation backends, which differ only in how
+//! the victim's participation is quarantined.
 //!
 //! [`keepalive`]: crate::WfHandle::keepalive
 

@@ -1,13 +1,22 @@
-//! Unit tests for the wait-free queue, run over every paper variant.
+//! Unit tests for the wait-free queue: one suite, run over every paper
+//! variant on both reclamation backends (`epoch_backend::*` and
+//! `hazard_backend::*`), plus the tests that only make sense for one
+//! backend.
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::{Config, ConcurrentQueue, HelpPolicy, PhasePolicy, WfQueue};
+use kp_sync::atomic::{AtomicUsize, Ordering};
 use queue_traits::testing;
+
+use crate::epoch::Epoch;
+use crate::hazard::Hazard;
+use crate::queue::KpQueue;
+use crate::reclaim::Reclaim;
+use crate::{ConcurrentQueue, Config, HelpPolicy, PhasePolicy};
 
 /// The epoch is process-global, so tests in this binary share it: a
 /// test that counts the collector nudges it takes to ripen a node holds
-/// this lock exclusively, and every test that pins (any `WfQueue`
+/// this lock exclusively, and every test that pins (any epoch-backend
 /// operation) holds it shared, so no concurrent pin can hold the epoch
 /// back. Poisoning is ignored — a failed test must not fail the rest.
 static EPOCH: RwLock<()> = RwLock::new(());
@@ -24,8 +33,88 @@ pub(crate) fn epoch_exclusive() -> RwLockWriteGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// What the suite needs beyond the shared API: the backend's own
+/// residency probe (`len_approx` walks under a pin; the hazard backend
+/// has only a quiescent walk).
+trait Backend: Reclaim {
+    fn len<T: Send>(q: &KpQueue<T, Self>) -> usize;
+}
+
+impl Backend for Epoch {
+    fn len<T: Send>(q: &KpQueue<T, Self>) -> usize {
+        q.len_approx()
+    }
+}
+
+impl Backend for Hazard {
+    fn len<T: Send>(q: &KpQueue<T, Self>) -> usize {
+        q.len_approx_quiescent()
+    }
+}
+
+/// Instantiates each generic test below once per backend.
+macro_rules! on_both_backends {
+    ($($(#[$attr:meta])* $name:ident),* $(,)?) => {
+        mod epoch_backend {
+            $(
+                $(#[$attr])*
+                #[test]
+                fn $name() {
+                    let _epoch = super::epoch_shared();
+                    super::$name::<crate::epoch::Epoch>();
+                }
+            )*
+        }
+        mod hazard_backend {
+            $(
+                $(#[$attr])*
+                #[test]
+                fn $name() {
+                    super::$name::<crate::hazard::Hazard>();
+                }
+            )*
+        }
+    };
+}
+
+on_both_backends!(
+    sequential_fifo_all_variants,
+    mpmc_conservation_all_variants,
+    owned_payloads_base_and_opt,
+    string_payloads_roundtrip,
+    registration_capacity_is_enforced,
+    empty_dequeues_return_none_repeatedly,
+    values_survive_handle_churn,
+    values_dropped_exactly_once,
+    phase_numbers_increase_monotonically,
+    stalled_enqueue_is_completed_by_helper,
+    stalled_dequeue_is_completed_by_helper,
+    stalled_dequeue_on_empty_queue_observes_empty,
+    abandoned_pending_op_is_driven_to_completion,
+    cyclic_chunk_never_starves_own_op,
+    exit_with_pending_enqueue_publishes_dummy_descriptor,
+    exit_with_pending_dequeue_publishes_dummy_descriptor,
+    slot_reused_after_mid_operation_exit_does_not_wedge,
+    fast_path_uncontended_ops_never_fall_back,
+    set_fast_path_zero_pins_handle_to_slow_path,
+    fast_path_stats_exposed_through_trait,
+    mixed_fast_and_slow_handles_conserve_values,
+    starvation_patience_demotes_into_helping,
+    batches_keep_order_respect_max_and_conserve_values,
+    queue_debug_format_mentions_config,
+    many_variants_cross_thread_smoke,
+    #[cfg(feature = "stats")]
+    helping_occurs_under_contention,
+    #[cfg(feature = "stats")]
+    lemma_1_and_2_exactly_once,
+    #[cfg(feature = "stats")]
+    depth_hint_tracks_residency_at_quiescence,
+    #[cfg(not(feature = "stats"))]
+    depth_hint_unknown_without_stats,
+);
+
 /// All four paper variants plus the random-chunk and validation
-/// enhancements — every behavioural test runs on each.
+/// enhancements and the fast path — every behavioural test runs on each.
 fn all_configs() -> Vec<Config> {
     vec![
         Config::base(),
@@ -35,6 +124,7 @@ fn all_configs() -> Vec<Config> {
         Config::base().with_validation(),
         Config::opt_both().with_validation(),
         Config::base().with_help(HelpPolicy::RandomChunk { chunk: 1 }),
+        Config::opt_both().with_help(HelpPolicy::RandomChunk { chunk: 2 }),
         Config::opt_both().with_help(HelpPolicy::Cyclic { chunk: 3 }),
         Config::fast(),
         Config::fast().with_starvation_patience(4),
@@ -42,45 +132,46 @@ fn all_configs() -> Vec<Config> {
     ]
 }
 
-#[test]
-fn sequential_fifo_all_variants() {
-    let _epoch = epoch_shared();
+fn queue<R: Reclaim>(max_threads: usize, cfg: Config) -> KpQueue<u64, R> {
+    KpQueue::with_config(max_threads, cfg)
+}
+
+fn sequential_fifo_all_variants<R: Backend>() {
     for cfg in all_configs() {
-        let q: WfQueue<u64> = WfQueue::with_config(4, cfg);
-        testing::check_sequential_fifo(&q);
+        testing::check_sequential_fifo(&queue::<R>(4, cfg));
     }
 }
 
-#[test]
-fn mpmc_conservation_all_variants() {
-    let _epoch = epoch_shared();
+fn mpmc_conservation_all_variants<R: Backend>() {
     for cfg in all_configs() {
-        let q: WfQueue<u64> = WfQueue::with_config(8, cfg);
-        testing::check_mpmc_conservation(&q, 4, 4, testing::scaled(3_000));
+        testing::check_mpmc_conservation(&queue::<R>(8, cfg), 4, 4, testing::scaled(3_000));
     }
 }
 
-#[test]
-fn owned_payloads_base_and_opt() {
-    let _epoch = epoch_shared();
+fn owned_payloads_base_and_opt<R: Backend>() {
     for cfg in [Config::base(), Config::opt_both()] {
-        let q: WfQueue<Box<u64>> = WfQueue::with_config(4, cfg);
+        let q: KpQueue<Box<u64>, R> = KpQueue::with_config(4, cfg);
         testing::check_owned_payloads(&q, 4);
     }
 }
 
-#[test]
-fn registration_capacity_is_enforced() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::new(3);
+fn string_payloads_roundtrip<R: Backend>() {
+    let q: KpQueue<String, R> = KpQueue::new(2);
+    let mut h = q.register().unwrap();
+    for i in 0..1_000 {
+        h.enqueue(format!("value-{i}"));
+        assert_eq!(h.dequeue().as_deref(), Some(format!("value-{i}").as_str()));
+    }
+}
+
+fn registration_capacity_is_enforced<R: Backend>() {
+    let q = queue::<R>(3, Config::default());
     testing::check_registration_capacity(&q, 3);
     assert_eq!(q.thread_capacity(), 3);
 }
 
-#[test]
-fn empty_dequeue_returns_none_repeatedly() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::with_config(2, Config::base());
+fn empty_dequeues_return_none_repeatedly<R: Backend>() {
+    let q = queue::<R>(2, Config::base());
     let mut h = q.register().unwrap();
     for _ in 0..10 {
         assert_eq!(h.dequeue(), None);
@@ -88,14 +179,18 @@ fn empty_dequeue_returns_none_repeatedly() {
     h.enqueue(1);
     assert_eq!(h.dequeue(), Some(1));
     assert_eq!(h.dequeue(), None);
+    #[cfg(feature = "stats")]
+    {
+        let s = q.stats();
+        assert_eq!(s.empty_dequeues, 11);
+        assert_eq!(s.dequeues, 12);
+    }
 }
 
-#[test]
-fn values_survive_handle_churn() {
-    let _epoch = epoch_shared();
+fn values_survive_handle_churn<R: Backend>() {
     // Handles coming and going (virtual-ID reuse, §3.3) must not disturb
     // resident values.
-    let q: WfQueue<u64> = WfQueue::new(2);
+    let q = queue::<R>(2, Config::default());
     {
         let mut h = q.register().unwrap();
         for i in 0..50 {
@@ -115,26 +210,7 @@ fn values_survive_handle_churn() {
     assert_eq!(h.dequeue(), None);
 }
 
-#[test]
-fn len_and_is_empty() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::new(2);
-    assert!(q.is_empty());
-    assert_eq!(q.len_approx(), 0);
-    let mut h = q.register().unwrap();
-    for i in 0..7 {
-        h.enqueue(i);
-    }
-    assert!(!q.is_empty());
-    assert_eq!(q.len_approx(), 7);
-    h.dequeue();
-    assert_eq!(q.len_approx(), 6);
-}
-
-#[test]
-fn drop_releases_resident_values() {
-    let _epoch = epoch_shared();
-    use kp_sync::atomic::{AtomicUsize, Ordering};
+fn values_dropped_exactly_once<R: Backend>() {
     use std::sync::Arc;
     struct CountDrop(Arc<AtomicUsize>);
     impl Drop for CountDrop {
@@ -142,35 +218,41 @@ fn drop_releases_resident_values() {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
-    let drops = Arc::new(AtomicUsize::new(0));
-    {
-        let q: WfQueue<CountDrop> = WfQueue::new(2);
-        let mut h = q.register().unwrap();
-        for _ in 0..100 {
-            h.enqueue(CountDrop(drops.clone()));
+    // The fast dequeue takes the value itself (and, under hazard
+    // pointers, half-completes the token gate); nothing may be dropped
+    // twice or leaked on either path.
+    for (cfg, total, taken) in [
+        (Config::default(), 100, 30),
+        (Config::default(), 300, 120),
+        (Config::fast(), 300, 120),
+    ] {
+        let drops = Arc::new(AtomicUsize::new(0));
+        {
+            let q: KpQueue<CountDrop, R> = KpQueue::with_config(2, cfg);
+            let mut h = q.register().unwrap();
+            for _ in 0..total {
+                h.enqueue(CountDrop(drops.clone()));
+            }
+            for _ in 0..taken {
+                drop(h.dequeue());
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), taken, "dequeued values drop");
+            drop(h);
         }
-        for _ in 0..30 {
-            drop(h.dequeue());
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 30);
-        drop(h);
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            total,
+            "queue drop must free the remaining values exactly once"
+        );
     }
-    assert_eq!(
-        drops.load(Ordering::SeqCst),
-        100,
-        "queue drop must free the remaining 70 values exactly once"
-    );
 }
 
-#[test]
-fn phase_numbers_increase_monotonically() {
-    let _epoch = epoch_shared();
+fn phase_numbers_increase_monotonically<R: Backend>() {
     // The doorway property behind wait-freedom: each operation's phase
     // exceeds all phases chosen before it (single-threaded here, so the
     // property must hold exactly).
     for phase_policy in [PhasePolicy::MaxScan, PhasePolicy::AtomicCounter] {
-        let q: WfQueue<u64> =
-            WfQueue::with_config(4, Config::base().with_phase(phase_policy));
+        let q = queue::<R>(4, Config::base().with_phase(phase_policy));
         let mut h = q.register().unwrap();
         let mut last = -1;
         for i in 0..20 {
@@ -183,14 +265,12 @@ fn phase_numbers_increase_monotonically() {
     }
 }
 
-#[test]
-fn stalled_enqueue_is_completed_by_helper() {
-    let _epoch = epoch_shared();
+fn stalled_enqueue_is_completed_by_helper<R: Backend>() {
     // The central helping property: a thread that stalls right after
     // publishing its descriptor (paper L63) still gets its operation
     // applied, by any other thread running an operation with a larger
     // phase.
-    let q: WfQueue<u64> = WfQueue::with_config(4, Config::base());
+    let q = queue::<R>(4, Config::base());
     let mut stalled = q.register().unwrap();
     let mut helper = q.register().unwrap();
 
@@ -207,13 +287,12 @@ fn stalled_enqueue_is_completed_by_helper() {
     assert_eq!(helper.dequeue(), Some(42));
     assert_eq!(helper.dequeue(), Some(7));
     pending.finish();
+    #[cfg(feature = "stats")]
     assert!(q.stats().helped_appends >= 1, "help was counted");
 }
 
-#[test]
-fn stalled_dequeue_is_completed_by_helper() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::with_config(4, Config::base());
+fn stalled_dequeue_is_completed_by_helper<R: Backend>() {
+    let q = queue::<R>(4, Config::base());
     let mut stalled = q.register().unwrap();
     let mut helper = q.register().unwrap();
 
@@ -234,13 +313,12 @@ fn stalled_dequeue_is_completed_by_helper() {
     assert_eq!(pending.finish(), Some(1));
     assert_eq!(helper.dequeue(), Some(2));
     assert_eq!(helper.dequeue(), Some(3));
+    #[cfg(feature = "stats")]
     assert!(q.stats().helped_locks >= 1);
 }
 
-#[test]
-fn stalled_dequeue_on_empty_queue_observes_empty() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::with_config(4, Config::base());
+fn stalled_dequeue_on_empty_queue_observes_empty<R: Backend>() {
+    let q = queue::<R>(4, Config::base());
     let mut stalled = q.register().unwrap();
     let mut helper = q.register().unwrap();
 
@@ -254,10 +332,8 @@ fn stalled_dequeue_on_empty_queue_observes_empty() {
     assert_eq!(helper.dequeue(), Some(9));
 }
 
-#[test]
-fn abandoned_pending_op_is_driven_to_completion() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::with_config(2, Config::base());
+fn abandoned_pending_op_is_driven_to_completion<R: Backend>() {
+    let q = queue::<R>(2, Config::base());
     let mut h = q.register().unwrap();
     {
         let pending = h.begin_enqueue_unhelped(5);
@@ -266,22 +342,26 @@ fn abandoned_pending_op_is_driven_to_completion() {
     assert_eq!(h.dequeue(), Some(5));
 }
 
-#[test]
-fn helping_occurs_under_contention() {
-    let _epoch = epoch_shared();
+#[cfg(feature = "stats")]
+fn helping_occurs_under_contention<R: Backend>() {
     // Statistical version of the stalled-thread tests: with many threads
     // hammering a base-config queue, some linearization steps are
     // executed by helpers. The allocation-free hot path made single
     // rounds short enough that, under an unlucky scheduler, no two ops
     // overlap — so hammer in bounded rounds until helping shows up.
-    let q: WfQueue<u64> = WfQueue::with_config(8, Config::base());
+    let q = queue::<R>(8, Config::base());
+    let per = testing::scaled(20_000) as u64;
     let mut rounds = 0u64;
+    let helped = |q: &KpQueue<u64, R>| {
+        let s = q.stats();
+        s.help_calls > 0 && s.helped_appends + s.helped_locks > 0
+    };
     while rounds < 10 {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
                     let mut h = q.register().unwrap();
-                    for i in 0..testing::scaled(20_000) as u64 {
+                    for i in 0..per {
                         h.enqueue(i);
                         h.dequeue();
                     }
@@ -289,24 +369,26 @@ fn helping_occurs_under_contention() {
             }
         });
         rounds += 1;
-        if q.stats().helped_appends + q.stats().helped_locks > 0 {
+        if helped(&q) {
             break;
         }
     }
     let stats = q.stats();
-    assert_eq!(stats.ops(), rounds * 8 * 2 * testing::scaled(20_000) as u64);
+    assert_eq!(stats.ops(), rounds * 8 * 2 * per);
     assert!(
         stats.helped_appends + stats.helped_locks > 0,
         "contention must produce at least some helped operations: {stats:?}"
     );
+    assert!(
+        stats.help_calls > 0,
+        "base policy must help peers under contention: {stats:?}"
+    );
 }
 
-#[test]
-fn cyclic_chunk_never_starves_own_op() {
-    let _epoch = epoch_shared();
+fn cyclic_chunk_never_starves_own_op<R: Backend>() {
     // With chunk=1 and many slots, a thread mostly helps others; its own
     // op must still complete every time.
-    let q: WfQueue<u64> = WfQueue::with_config(16, Config::opt_both());
+    let q = queue::<R>(16, Config::opt_both());
     let mut h = q.register().unwrap();
     for i in 0..1000 {
         h.enqueue(i);
@@ -314,16 +396,20 @@ fn cyclic_chunk_never_starves_own_op() {
     }
 }
 
-#[test]
-fn lemma_1_and_2_exactly_once() {
-    let _epoch = epoch_shared();
+#[cfg(feature = "stats")]
+fn lemma_1_and_2_exactly_once<R: Backend>() {
     // The paper's Lemmas 1 and 2: for every enqueue, step 1 (the L74
     // append CAS) succeeds exactly once; for every successful dequeue,
     // step 1 (the L135 deqTid CAS) succeeds exactly once — even though
     // many helpers race to execute those steps. At quiescence the global
     // counters must therefore match the operation counts exactly.
-    for cfg in [Config::base(), Config::opt1(), Config::opt2(), Config::opt_both()] {
-        let q: WfQueue<u64> = WfQueue::with_config(8, cfg);
+    for cfg in [
+        Config::base(),
+        Config::opt1(),
+        Config::opt2(),
+        Config::opt_both(),
+    ] {
+        let q = queue::<R>(8, cfg);
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let q = &q;
@@ -352,18 +438,16 @@ fn lemma_1_and_2_exactly_once() {
         );
         // Cross-check against the structure: resident = in - out.
         let resident = (stats.enqueues - (stats.dequeues - stats.empty_dequeues)) as usize;
-        assert_eq!(q.len_approx(), resident);
+        assert_eq!(R::len(&q), resident);
     }
 }
 
-#[test]
-fn exit_with_pending_enqueue_publishes_dummy_descriptor() {
-    let _epoch = epoch_shared();
+fn exit_with_pending_enqueue_publishes_dummy_descriptor<R: Backend>() {
     // §3.3 "dummy descriptor on exit": a handle dropped while its enqueue
     // is still pending must complete the operation and leave the state
     // slot idle, so the value lands and the slot is immediately reusable.
     for cfg in [Config::base(), Config::opt_both()] {
-        let q: WfQueue<u64> = WfQueue::with_config(2, cfg);
+        let q = queue::<R>(2, cfg);
         {
             let mut h = q.register().unwrap();
             h.enqueue(1);
@@ -378,10 +462,8 @@ fn exit_with_pending_enqueue_publishes_dummy_descriptor() {
     }
 }
 
-#[test]
-fn exit_with_pending_dequeue_publishes_dummy_descriptor() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::new(2);
+fn exit_with_pending_dequeue_publishes_dummy_descriptor<R: Backend>() {
+    let q = queue::<R>(2, Config::default());
     {
         let mut h = q.register().unwrap();
         for i in 0..3 {
@@ -395,15 +477,13 @@ fn exit_with_pending_dequeue_publishes_dummy_descriptor() {
     assert_eq!(h.dequeue(), None);
 }
 
-#[test]
-fn slot_reused_after_mid_operation_exit_does_not_wedge() {
-    let _epoch = epoch_shared();
+fn slot_reused_after_mid_operation_exit_does_not_wedge<R: Backend>() {
     // The wedge this guards against: with capacity 1, the departing
     // thread's slot is *guaranteed* to be reused. If its pending
     // descriptor were still in place (or an orphaned node appended with
     // no matching descriptor), every subsequent operation would spin in
     // help_finish_enq forever.
-    let q: WfQueue<u64> = WfQueue::new(1);
+    let q = queue::<R>(1, Config::default());
     for round in 0..10u64 {
         let mut h = q.register().expect("slot must be reclaimable");
         assert_eq!(h.tid(), 0, "capacity-1 pool always hands out slot 0");
@@ -415,12 +495,11 @@ fn slot_reused_after_mid_operation_exit_does_not_wedge() {
     }
 }
 
-#[test]
-fn fast_path_uncontended_ops_never_fall_back() {
-    let _epoch = epoch_shared();
+fn fast_path_uncontended_ops_never_fall_back<R: Backend>() {
     // Single-threaded, fast path on: every CAS wins first try, so every
-    // operation completes fast and the slow path never runs.
-    let q: WfQueue<u64> = WfQueue::with_config(4, Config::fast());
+    // operation completes fast and the slow path never runs (and, under
+    // hazard pointers, the token gate + hazard scan still reclaim).
+    let q = queue::<R>(4, Config::fast());
     let mut h = q.register().unwrap();
     for i in 0..500 {
         h.enqueue(i);
@@ -434,15 +513,16 @@ fn fast_path_uncontended_ops_never_fall_back() {
     assert_eq!(fp.fallback_rate(), 0.0);
     // The fast append/lock CASes feed the same Lemma 1/2 counters as
     // the slow path's steps.
-    let stats = q.stats();
-    assert_eq!(stats.appends_total, stats.enqueues);
-    assert_eq!(stats.locks_total, stats.dequeues - stats.empty_dequeues);
+    #[cfg(feature = "stats")]
+    {
+        let stats = q.stats();
+        assert_eq!(stats.appends_total, stats.enqueues);
+        assert_eq!(stats.locks_total, stats.dequeues - stats.empty_dequeues);
+    }
 }
 
-#[test]
-fn set_fast_path_zero_pins_handle_to_slow_path() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::with_config(4, Config::fast());
+fn set_fast_path_zero_pins_handle_to_slow_path<R: Backend>() {
+    let q = queue::<R>(4, Config::fast());
     let mut h = q.register().unwrap();
     h.set_fast_path(0);
     for i in 0..100 {
@@ -454,23 +534,19 @@ fn set_fast_path_zero_pins_handle_to_slow_path() {
     assert_eq!(fp.slow_ops, 200);
 }
 
-#[test]
-fn fast_path_stats_exposed_through_trait() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::with_config(2, Config::fast());
+fn fast_path_stats_exposed_through_trait<R: Backend>() {
+    let q = queue::<R>(2, Config::fast());
     let mut h = q.register().unwrap();
     h.enqueue(1);
-    let fp = queue_traits::QueueHandle::fast_path_stats(&h)
-        .expect("kp handles report fast-path stats");
+    let fp =
+        queue_traits::QueueHandle::fast_path_stats(&h).expect("kp handles report fast-path stats");
     assert_eq!(fp.fast_completions + fp.slow_ops, 1);
 }
 
-#[test]
-fn mixed_fast_and_slow_handles_conserve_values() {
-    let _epoch = epoch_shared();
+fn mixed_fast_and_slow_handles_conserve_values<R: Backend>() {
     // Half the threads run fast-path-first, half are pinned slow-only;
     // the descriptor protocol must linearize both kinds together.
-    let q: WfQueue<u64> = WfQueue::with_config(8, Config::fast().with_fast_path(2));
+    let q = queue::<R>(8, Config::fast().with_fast_path(2));
     let per = testing::scaled(4_000) as u64;
     let total = std::sync::Mutex::new(0u64);
     std::thread::scope(|s| {
@@ -511,23 +587,23 @@ fn mixed_fast_and_slow_handles_conserve_values() {
     }
     let expect: u64 = (0..8 * per).sum();
     assert_eq!(*total.lock().unwrap() + rest, expect, "values conserved");
-    let stats = q.stats();
-    assert_eq!(stats.appends_total, stats.enqueues, "Lemma 1 (mixed)");
-    assert_eq!(
-        stats.locks_total,
-        stats.dequeues - stats.empty_dequeues,
-        "Lemma 2 (mixed)"
-    );
+    #[cfg(feature = "stats")]
+    {
+        let stats = q.stats();
+        assert_eq!(stats.appends_total, stats.enqueues, "Lemma 1 (mixed)");
+        assert_eq!(
+            stats.locks_total,
+            stats.dequeues - stats.empty_dequeues,
+            "Lemma 2 (mixed)"
+        );
+    }
 }
 
-#[test]
-fn starvation_patience_demotes_into_helping() {
-    let _epoch = epoch_shared();
+fn starvation_patience_demotes_into_helping<R: Backend>() {
     // A peer publishes a descriptor and stalls; a fast handle with tiny
     // patience must notice it within `patience` completions, demote
     // itself, and complete the stalled op via the slow path's helping.
-    let q: WfQueue<u64> =
-        WfQueue::with_config(4, Config::fast().with_starvation_patience(2));
+    let q = queue::<R>(4, Config::fast().with_starvation_patience(2));
     let mut stalled = q.register().unwrap();
     let mut fast = q.register().unwrap();
     let pending = stalled.begin_enqueue_unhelped(42);
@@ -555,35 +631,80 @@ fn starvation_patience_demotes_into_helping() {
     assert_eq!(drained.iter().filter(|&&v| v == 42).count(), 1);
 }
 
-#[test]
-fn queue_debug_format_mentions_config() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::new(2);
+/// The handle's own batch operations (not the trait's loop of single
+/// calls): order kept, `max` respected, a batch stops at the first
+/// empty dequeue, and values are conserved across two threads.
+fn batches_keep_order_respect_max_and_conserve_values<R: Backend>() {
+    use queue_traits::QueueHandle;
+    for cfg in [Config::opt_both(), Config::fast()] {
+        let q = queue::<R>(2, cfg);
+        let mut h = q.register().unwrap();
+        let mut batch: Vec<u64> = (0..10).collect();
+        assert_eq!(QueueHandle::try_enqueue_batch(&mut h, &mut batch), 10);
+        assert!(batch.is_empty(), "a batch enqueue drains its input");
+        let mut out = Vec::new();
+        assert_eq!(
+            QueueHandle::dequeue_batch(&mut h, &mut out, 4),
+            4,
+            "max respected"
+        );
+        assert_eq!(out, [0, 1, 2, 3], "order kept");
+        assert_eq!(
+            h.dequeue_batch(&mut out, 100),
+            6,
+            "stops at the first empty dequeue"
+        );
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(h.dequeue_batch(&mut out, 0), 0);
+        assert_eq!(h.dequeue_batch(&mut out, 3), 0, "empty queue, empty batch");
+
+        let per = testing::scaled(2_000) as u64;
+        let (sent, got) = std::thread::scope(|s| {
+            let producer = s.spawn(|| {
+                let mut h = q.register().unwrap();
+                for chunk in (0..per).collect::<Vec<_>>().chunks(7) {
+                    h.enqueue_batch(&mut chunk.to_vec());
+                }
+                per
+            });
+            let mut got = Vec::new();
+            while (got.len() as u64) < per {
+                h.dequeue_batch(&mut got, 5);
+            }
+            (producer.join().unwrap(), got)
+        });
+        assert_eq!(
+            got,
+            (0..sent).collect::<Vec<_>>(),
+            "one producer: FIFO, nothing lost"
+        );
+        assert_eq!(h.dequeue(), None);
+    }
+}
+
+fn queue_debug_format_mentions_config<R: Backend>() {
+    let q = queue::<R>(2, Config::default());
     let s = format!("{q:?}");
-    assert!(s.contains("WfQueue"), "{s}");
+    assert!(s.contains(R::NAME), "{s}");
     assert!(s.contains("max_threads"), "{s}");
 }
 
-#[test]
-fn many_variants_cross_thread_smoke() {
-    let _epoch = epoch_shared();
+fn many_variants_cross_thread_smoke<R: Backend>() {
     // 2 producers + 2 consumers on every variant, moving enough values
-    // to force multiple epoch collections.
+    // to force multiple reclamation rounds.
     for cfg in all_configs() {
-        let q: WfQueue<u64> = WfQueue::with_config(4, cfg);
+        let q = queue::<R>(4, cfg);
         testing::check_mpmc_conservation(&q, 2, 2, testing::scaled(5_000));
-        assert!(q.is_empty());
+        assert_eq!(R::len(&q), 0);
     }
 }
 
 /// The counter-derived overload gauges: exact at quiescence on every
 /// variant, `empty_dequeues` excluded from drain, pressure monotone.
 #[cfg(feature = "stats")]
-#[test]
-fn depth_hint_tracks_residency_at_quiescence() {
-    let _epoch = epoch_shared();
+fn depth_hint_tracks_residency_at_quiescence<R: Backend>() {
     for cfg in all_configs() {
-        let q: WfQueue<u64> = WfQueue::with_config(2, cfg);
+        let q = queue::<R>(2, cfg);
         assert_eq!(q.depth_hint(), Some(0));
         assert_eq!(q.drained_hint(), Some(0));
         assert_eq!(q.capacity_hint(), None, "KP engine is unbounded");
@@ -608,11 +729,97 @@ fn depth_hint_tracks_residency_at_quiescence() {
 /// With `stats` compiled out the gauges must report "cannot say", not a
 /// fake zero — the channel's admission control keys off this.
 #[cfg(not(feature = "stats"))]
-#[test]
-fn depth_hint_unknown_without_stats() {
-    let _epoch = epoch_shared();
-    let q: WfQueue<u64> = WfQueue::new(2);
+fn depth_hint_unknown_without_stats<R: Backend>() {
+    let q = queue::<R>(2, Config::default());
     assert_eq!(q.depth_hint(), None);
     assert_eq!(q.drained_hint(), None);
     assert_eq!(q.pressure_hint(), 0);
+}
+
+// ----------------------------------------------------------------------
+// Backend-only tests
+// ----------------------------------------------------------------------
+
+#[test]
+fn epoch_len_and_is_empty() {
+    let _epoch = epoch_shared();
+    let q: crate::WfQueue<u64> = crate::WfQueue::new(2);
+    assert!(q.is_empty());
+    assert_eq!(q.len_approx(), 0);
+    let mut h = q.register().unwrap();
+    for i in 0..7 {
+        h.enqueue(i);
+    }
+    assert!(!q.is_empty());
+    assert_eq!(q.len_approx(), 7);
+    h.dequeue();
+    assert_eq!(q.len_approx(), 6);
+}
+
+#[test]
+fn hazard_nodes_are_reclaimed_without_gc() {
+    // The point of §3.4: memory is reclaimed while the queue runs, not
+    // deferred until drop.
+    let q: crate::WfQueueHp<u64> = crate::WfQueueHp::new(2);
+    let mut h = q.register().unwrap();
+    let n = testing::scaled(20_000) as u64;
+    for i in 0..n {
+        h.enqueue(i);
+        assert_eq!(h.dequeue(), Some(i));
+    }
+    assert!(
+        h.reclaimed() > testing::scaled(10_000),
+        "hazard scans must have freed nodes/descriptors during the run (got {})",
+        h.reclaimed()
+    );
+}
+
+#[cfg(feature = "stats")]
+#[test]
+fn hazard_fast_path_nodes_still_reclaimed() {
+    // The fast dequeue's retire path must feed the same pool as the
+    // slow one: long runs stay allocation-bounded.
+    let q: crate::WfQueueHp<u64> = crate::WfQueueHp::with_config(2, Config::fast());
+    let mut h = q.register().unwrap();
+    let n = testing::scaled(20_000) as u64;
+    for i in 0..n {
+        h.enqueue(i);
+        assert_eq!(h.dequeue(), Some(i));
+    }
+    let s = q.stats();
+    assert!(
+        s.node_allocs < 200,
+        "fast path must recycle nodes, not allocate per op (allocs={})",
+        s.node_allocs
+    );
+}
+
+#[test]
+fn hazard_token_gate_disposes_exactly_once() {
+    use crate::hazard::reclaim_into_pool;
+    use crate::node::{Node, TOKEN_CONSUMED, TOKEN_RECLAIM_READY};
+    use crate::pool::NodePool;
+
+    let pool: NodePool<Node<u32>> = NodePool::new(true, 16);
+    let ctx = &pool as *const NodePool<Node<u32>> as *mut u8;
+    // Order 1: scan first (READY), then owner consumes. The scan must
+    // NOT release; the owner's fetch_or sees READY and does.
+    let n = Node::boxed(Some(7), 0);
+    // SAFETY: `n` is live; this simulates the scan's disposal call.
+    unsafe { reclaim_into_pool::<u32>(n.cast(), ctx) };
+    assert!(pool.steal().is_null(), "not yet");
+    // SAFETY: `n` is still live — the two-token gate is not yet complete.
+    let prev = unsafe { (*n).tokens.fetch_or(TOKEN_CONSUMED, Ordering::AcqRel) };
+    assert_eq!(prev, TOKEN_RECLAIM_READY);
+    // SAFETY: owner epilogue — `n` carries both tokens; the pool takes ownership.
+    unsafe { pool.release(n) }; // what the owner's epilogue does
+    assert_eq!(pool.steal(), n);
+    // Order 2: owner first, then scan releases.
+    // SAFETY: `n` was stolen back above; the test owns it exclusively.
+    unsafe { (*n).tokens.store(TOKEN_CONSUMED, Ordering::Relaxed) };
+    // SAFETY: reverse order — the scan's disposal runs after the owner's token.
+    unsafe { reclaim_into_pool::<u32>(n.cast(), ctx) };
+    assert_eq!(pool.steal(), n, "scan observed CONSUMED and released");
+    // SAFETY: `n` left the pool via steal; freed exactly once.
+    unsafe { drop(Box::from_raw(n)) };
 }

@@ -11,8 +11,8 @@
 #      reduced seed matrix; scripts/torture.sh runs the full sweep)
 #   5. a time-capped kill/restart soak of the reaper rounds
 #      (SOAK_SECS, default 120)
-#   6. a no-default-features build (stats feature off) to keep the
-#      feature matrix honest
+#   6. the kp-queue build and unit suite with no default features
+#      (stats feature off) to keep the feature matrix honest
 #   7. best-effort sanitizer stages: Miri and ThreadSanitizer run when
 #      the toolchain supports them, skip loudly when it does not
 set -euo pipefail
@@ -113,6 +113,7 @@ echo "soak ok: $soak_rounds round(s) within ${SOAK_SECS:-120}s"
 
 echo "=== feature matrix: stats off ==="
 cargo build -p kp-queue --no-default-features
+cargo test -p kp-queue --no-default-features -q
 
 echo "=== miri (best-effort) ==="
 scripts/miri.sh || { echo "ci: miri stage failed" >&2; exit 1; }

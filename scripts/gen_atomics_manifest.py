@@ -138,17 +138,15 @@ HI = "crates/hazard/tests/integration.rs"
 ID = "crates/idpool/src/lib.rs"
 DESC = "crates/kp-queue/src/desc.rs"
 HA = "crates/kp-queue/src/handle.rs"
+EP = "crates/kp-queue/src/epoch.rs"
+HZ = "crates/kp-queue/src/hazard.rs"
 Q = "crates/kp-queue/src/queue.rs"
 ST = "crates/kp-queue/src/stats.rs"
 QT = "crates/kp-queue/src/tests.rs"
 NO = "crates/kp-queue/src/node.rs"
 AR = "crates/kp-queue/tests/alloc_regression.rs"
 EX = "crates/kp-queue/examples/hp_stress_probe.rs"
-HH = "crates/kp-queue/src/hp/handle.rs"
 PO = "crates/kp-queue/src/pool.rs"
-HQ = "crates/kp-queue/src/hp/queue.rs"
-HTY = "crates/kp-queue/src/hp/types.rs"
-HTE = "crates/kp-queue/src/hp/tests.rs"
 CH = "crates/kp-channel/src/lib.rs"
 PK = "crates/kp-channel/src/park.rs"
 OV = "crates/kp-channel/src/overload.rs"
@@ -250,75 +248,70 @@ TABLE = {
         sc="the retirement must enter the single total order with helpers' SeqCst pending checks, or a helper could act on a blanked descriptor (and two stale-word reapers could both win the election)",
         steps=["ReapClaim"],
     ),
-    # ----- kp-queue/handle.rs ----------------------------------------
+    # ----- kp-queue/handle.rs (the core handle, both backends) --------
     (HA, "alloc_node"): spec("reclamation", WHY_RECYCLE),
-    (HA, "op_prologue"): spec("reclamation", "publishes the handle's epoch-participant token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
-    (HA, "drop"): spec("reclamation", "retracts the epoch token before the id can recycle; mirrors op_prologue's publication", sc=SC_TOKEN),
-    (HA, "read_deq_result"): spec("helper-guard", "reads the locked sentinel's next for the result; Acquire pairs with the append CAS so the payload is visible"),
-    # ----- kp-queue/queue.rs -----------------------------------------
-    (Q, "with_config"): spec("helper-guard", WHY_INIT),
-    (Q, "len_approx"): spec("stats", "advisory O(n) walk; Acquire (release half of the append CAS) suffices to dereference initialised nodes"),
-    (Q, "is_empty"): spec("stats", "advisory emptiness probe; same argument as len_approx"),
+    # ----- kp-queue/queue.rs (the core algorithm, both backends) -----
+    # Head/tail reads that open a loop go through Reclaim::protect (an
+    # epoch.rs load or the hazard crate's protect), so each loop here
+    # starts at the protected node's `next` read.
     (Q, "next_phase"): spec("doorway", "monotone phase ticket (SS3.3 AtomicCounter policy)", sc=SC_DOORWAY),
     (Q, "help_enq"): {
-        ("load", 0): spec("helper-guard", "tail read opening the help loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail-lag check (L72)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "tail re-validation before the append (L73)", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "protected tail's next read classifying settled vs dangling (L70)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "tail re-validation before acting on the next read (L71)", sc=SC_HELP),
         ("compare_exchange", 0): spec("linearization", "the append CAS (L74)", sc=SC_APPEND, steps=["Append"]),
     },
     (Q, "help_finish_enq"): {
-        ("load", 0): spec("helper-guard", "tail read (L90)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "appended-node read (L91)", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "appended-node read (L87)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "tail re-validation after covering the appended node: while the tail is unchanged the node cannot have been retired, so its enq_tid may be read", sc=SC_HELP),
         ("compare_exchange", 0): spec("helper-guard", "FAST_ENQUEUER branch: unconditional tail swing past a fast-appended node (no descriptor to ack; model FastFixTail)", sc=SC_SWING),
-        ("load", 2): spec("helper-guard", "tail re-validation (L92)", sc=SC_HELP),
+        ("load", 2): spec("helper-guard", "tail re-validation with the owner's descriptor in hand (L91)", sc=SC_HELP),
         ("compare_exchange", 1): spec("helper-guard", "tail swing (L94, model FixTail)", sc=SC_SWING),
     },
     (Q, "help_deq"): {
-        ("load", 0): spec("helper-guard", "head read opening the dequeue help loop (L110)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail read for the empty/lag classification (L110)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "sentinel next read (L110)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "head re-validation (L112)", sc=SC_HELP),
-        ("load", 4): spec("helper-guard", "tail-lag re-check (L122)", sc=SC_HELP),
-        ("load", 5): spec("helper-guard", "head consistency check before the lock (L132)", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "tail read for the empty/lag classification (L112)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "protected sentinel's next read (L113)", sc=SC_HELP),
+        ("load", 2): spec("helper-guard", "head re-validation (L114)", sc=SC_HELP),
+        ("load", 3): spec("helper-guard", "tail re-check before recording an empty result (L117)", sc=SC_HELP),
+        ("load", 4): spec("helper-guard", "head consistency check before binding the sentinel (L129)", sc=SC_HELP),
         ("compare_exchange", 0): spec("linearization", "the deq_tid lock CAS (L135)", sc=SC_LOCK, steps=["Lock"]),
     },
     (Q, "help_finish_deq"): {
-        ("load", 0): spec("helper-guard", "head read (L145)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "locked sentinel's next read (L146)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "deq_tid read identifying the lock owner (L146)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "FAST_DEQUEUER branch: head re-validation before the helper-side swing (no descriptor to ack)", sc=SC_HELP),
-        ("compare_exchange", 0): spec("helper-guard", "FAST_DEQUEUER branch: head swing past a fast-locked sentinel (model FastFixHead); winner owns its retirement", sc=SC_SWING),
-        ("load", 4): spec("helper-guard", "head re-validation (L148)", sc=SC_HELP),
-        ("compare_exchange", 1): spec("helper-guard", "head swing (L150, model FixHead); winner owns sentinel retirement", sc=SC_SWING),
+        ("load", 0): spec("helper-guard", "protected sentinel's next read -- the value node step 2 hands over (L143)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "head validation after covering the value node: while the head is unchanged it cannot have been retired", sc=SC_HELP),
+        ("load", 2): spec("helper-guard", "deq_tid read identifying the lock owner (L144)", sc=SC_HELP),
+        ("load", 3): spec("helper-guard", "head re-validation with the owner's descriptor in hand (L147)", sc=SC_HELP),
+    },
+    (Q, "swing_head"): spec("helper-guard", "head swing (L150, model FixHead; also the FAST_DEQUEUER helper swing and the fast owner's best-effort swing, model FastFixHead); the unique winner retires the unlinked sentinel", sc=SC_SWING),
+    (Q, "reap_slot"): {
+        ("swap", 0): spec("reclamation", "takes the victim's participant token (epoch participant or hazard record) exactly once, zeroing the slot, so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
     },
     (Q, "try_fast_enqueue"): {
-        ("load", 0): spec("helper-guard", "fast-path tail read opening the bounded MS loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "fast-path tail.next read classifying settled vs dangling", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "fast-path tail re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the fast append CAS -- same L74 linearization point as the slow path, reached without a descriptor", sc=SC_APPEND, steps=["FastAppend"]),
+        ("load", 0): spec("helper-guard", "fast-path protected tail's next read classifying settled vs dangling", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "fast-path tail re-validation before acting on the next read", sc=SC_HELP),
+        ("compare_exchange", 0): spec("linearization", "the fast append CAS -- same L74 linearization point as the slow path, reached without a descriptor (also the test-only lagging-tail fixture, which skips the swing below)", sc=SC_APPEND, steps=["FastAppend"]),
         ("compare_exchange", 1): spec("helper-guard", "owner's best-effort tail swing (model FastFixTail); helpers' FAST_ENQUEUER branch races the same CAS", sc=SC_SWING),
     },
     (Q, "try_fast_dequeue"): {
-        ("load", 0): spec("helper-guard", "fast-path head read opening the bounded MS loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "fast-path tail read for the empty/lag classification", sc=SC_HELP),
-        ("load", 2): spec("linearization", "fast-path sentinel next read; with the head validated and first == last, observing null here is the empty-dequeue linearization (no descriptor CAS needed)", sc=SC_HELP, steps=["FastEmpty"]),
-        ("load", 3): spec("helper-guard", "fast-path head re-validation before acting on the next read", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "fast-path tail read for the empty/lag classification", sc=SC_HELP),
+        ("load", 1): spec("linearization", "fast-path sentinel next read; with the head validated and first == last, observing null here is the empty-dequeue linearization (no descriptor CAS needed)", sc=SC_HELP, steps=["FastEmpty"]),
+        ("load", 2): spec("helper-guard", "fast-path head re-validation before acting on the next read", sc=SC_HELP),
         ("compare_exchange", 0): spec("linearization", "the fast deq_tid lock CAS (FAST_DEQUEUER marker) -- same L135 linearization point as the slow path", sc=SC_LOCK, steps=["FastLock"]),
-        ("compare_exchange", 1): spec("helper-guard", "owner's best-effort head swing (model FastFixHead); winner recycles the unlinked sentinel", sc=SC_SWING),
-    },
-    (Q, "reap_slot"): {
-        ("load", 0): spec("helper-guard", "adopted dequeue's locked-sentinel next read; Acquire pairs with the append CAS so the claimed-and-discarded value is visible (DESIGN.md SS13.4)"),
-        ("swap", 0): spec("reclamation", "takes the victim's epoch-participant token exactly once (zeroing the slot) so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
-        ("load", 1): spec("reclamation", "publisher scan (DESIGN.md SS13.4): spares the quarantine when any live handle still publishes the victim's token", sc="the scan must be ordered after this reaper's own token swap in the single total order with every other reaper's swap+scan and every handle's publish-before-pin, or two racing reapers could both see the other's not-yet-swapped victim entry and both skip a genuinely wedged quarantine"),
-    },
-    (Q, "append_no_swing"): {
-        ("load", 0): spec("helper-guard", "test-only lagging-tail fixture (sudden-death wedge, DESIGN.md SS13.1): tail read opening the MS loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "test-only fixture: tail.next read classifying settled vs dangling", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "test-only fixture: tail re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "test-only fixture: the fast append CAS without the step-3 tail swing -- same L74 linearization point as try_fast_enqueue", sc=SC_APPEND, steps=["FastAppend"]),
     },
     (Q, "drop"): spec("reclamation", WHY_TEARDOWN),
-    (Q, "pressure_hint"): spec("stats", "advisory memory-pressure gauge (cache overflows) for admission control; Relaxed monotonic counter read, no synchronization intent"),
+    (Q, "pressure_hint"): spec("stats", "advisory memory-pressure gauge (retire-cache overflows plus pool overflows) for admission control; Relaxed monotonic counter read, no synchronization intent"),
+    # ----- kp-queue/epoch.rs (the epoch backend) ---------------------
+    (EP, "protect"): spec("helper-guard", "head/tail read opening every help loop and fast-path iteration; the operation's pin is the protection", sc=SC_HELP),
+    (EP, "prologue"): spec("reclamation", "publishes the handle's epoch-participant token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
+    (EP, "quarantine"): spec("reclamation", "publisher scan (DESIGN.md SS13.4): spares the quarantine when any live handle still publishes the victim's token", sc="the scan must be ordered after this reaper's own token swap in the single total order with every other reaper's swap+scan and every handle's publish-before-pin, or two racing reapers could both see the other's not-yet-swapped victim entry and both skip a genuinely wedged quarantine"),
+    (EP, "release"): spec("reclamation", "retracts the epoch token after the exit unpinned, before the id can recycle; mirrors prologue's publication", sc=SC_TOKEN),
+    (EP, "len_approx"): spec("stats", "advisory O(n) walk; Acquire (release half of the append CAS) suffices to dereference initialised nodes"),
+    (EP, "is_empty"): spec("stats", "advisory emptiness probe; same argument as len_approx"),
+    # ----- kp-queue/hazard.rs (the hazard-pointer backend) -----------
+    (HZ, "register"): spec("reclamation", "publishes the new participant's hazard-record token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
+    (HZ, "consumed"): spec("reclamation", "the value taker's half of the two-token disposal gate (owner epilogue, fast dequeue, reaper claim); AcqRel makes exactly one side observe both tokens and free the node"),
+    (HZ, "leave"): spec("reclamation", "retracts the hazard-record token before the exit completes its operation and before the id can recycle; mirrors register's publication", sc=SC_TOKEN),
+    (HZ, "reclaim_into_pool"): spec("reclamation", "scan's half of the two-token disposal gate; AcqRel mirrors consumed"),
+    (HZ, "len_approx_quiescent"): spec("stats", "quiescent-only O(n) walk", sc=SC_QUIESCENT),
     # ----- kp-queue/stats.rs -----------------------------------------
     (ST, "bump"): spec("stats", "monotonic helping counter; no synchronization intent"),
     (ST, "snapshot"): spec("stats", "counter snapshot; Relaxed per-counter reads, no cross-counter consistency promised"),
@@ -326,15 +319,13 @@ TABLE = {
     (ST, "depth"): spec("stats", "advisory resident-value gauge; loads the dequeue side first (via drained) so a racing completion overcounts, never goes negative -- admission control treats it as a hint, not a bound"),
     # ----- kp-queue tests / examples ---------------------------------
     (QT, "drop"): spec("stats", WHY_TEST),
-    (QT, "drop_releases_resident_values"): spec("stats", WHY_TEST),
-    (NO, "fresh_node_is_unlocked"): spec("stats", WHY_TEST),
+    (QT, "values_dropped_exactly_once"): spec("stats", WHY_TEST),
+    (QT, "hazard_token_gate_disposes_exactly_once"): spec("stats", "test drives the two-token gate directly"),
+    (NO, "fresh_node_is_unlocked_and_ungated"): spec("stats", WHY_TEST),
+    (NO, "sentinels_have_no_value_and_are_born_consumed"): spec("stats", WHY_TEST),
     (AR, "contended_window_allocs"): spec("stats", "test marker delimiting the measured allocation window"),
     (EX, "main"): spec("stats", "stress-probe progress reporting"),
-    # ----- kp-queue/hp/handle.rs -------------------------------------
-    (HH, "alloc_node"): spec("reclamation", WHY_RECYCLE),
-    (HH, "read_deq_result"): spec("reclamation", "owner's half of the two-token disposal gate; AcqRel makes exactly one side observe both tokens and free the node"),
-    (HH, "drop"): spec("reclamation", "retracts the hazard-record token before the id can recycle; mirrors register's publication", sc=SC_TOKEN),
-    # ----- kp-queue/pool.rs (shared by both variants) ---------------
+    # ----- kp-queue/pool.rs (shared by both backends) ---------------
     (PO, "next_free"): spec("reclamation", "reads a free-list link of a node the caller owns (a stash walk, a teardown, a chain being freed); Relaxed because links cross threads only inside a chain published by push_chain's Release CAS and taken by steal's Acquire swap"),
     (PO, "set_next_free"): spec("reclamation", "links a node the caller exclusively owns into a private chain (retire-cache flush, stash trim, push loop); published only by push_chain's Release CAS"),
     (PO, "has_room"): spec("reclamation", "bounded-pool size check; advisory"),
@@ -351,73 +342,7 @@ TABLE = {
         ("swap", 0): spec("reclamation", "takes the whole freelist; Acquire pairs with push_chain's Release so the links are visible"),
         ("store", 0): spec("reclamation", "approximate length reset"),
     },
-    (HTE, "token_gate_disposes_exactly_once"): spec("stats", "test drives the two-token gate directly"),
     (AR, "role_split_allocs_per_msg"): spec("stats", "test backlog throttle: the producer waits on the consumer's Release-published progress counter"),
-    # ----- kp-queue/hp/queue.rs --------------------------------------
-    (HQ, "reclaim_into_pool"): spec("reclamation", "scan's half of the two-token disposal gate; AcqRel mirrors read_deq_result"),
-    (HQ, "len_approx_quiescent"): spec("stats", "quiescent-only O(n) walk", sc=SC_QUIESCENT),
-    (HQ, "pressure_hint"): spec("stats", "advisory memory-pressure gauge (cache overflows plus pool overflows) for admission control; Relaxed monotonic counter reads, no synchronization intent"),
-    (HQ, "next_phase"): spec("doorway", "monotone phase ticket (SS3.3 AtomicCounter policy)", sc=SC_DOORWAY),
-    (HQ, "help_enq"): {
-        ("load", 0): spec("helper-guard", "tail-lag check (L72)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail re-validation before the append (L73)", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the append CAS (L74)", sc=SC_APPEND, steps=["Append"]),
-    },
-    (HQ, "help_finish_enq"): {
-        ("load", 0): spec("helper-guard", "appended-node read (L91)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail read (L90)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "tail re-validation (L92)", sc=SC_HELP),
-        ("compare_exchange", 0): spec("helper-guard", "FAST_ENQUEUER branch: unconditional tail swing past a fast-appended node (model FastFixTail)", sc=SC_SWING),
-        ("compare_exchange", 1): spec("helper-guard", "tail swing (L94, model FixTail)", sc=SC_SWING),
-    },
-    (HQ, "help_deq"): {
-        ("load", 0): spec("helper-guard", "tail read for the empty/lag classification (L110)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "sentinel next read (L110)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "head re-validation (L112)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "tail-lag re-check (L122)", sc=SC_HELP),
-        ("load", 4): spec("helper-guard", "head consistency check before the lock (L132)", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the deq_tid lock CAS (L135)", sc=SC_LOCK, steps=["Lock"]),
-    },
-    (HQ, "help_finish_deq"): {
-        ("load", 0): spec("helper-guard", "locked sentinel's next read (L146)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "head read (L145)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "deq_tid read identifying the lock owner (L146)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "FAST_DEQUEUER branch: head re-validation before the helper-side swing", sc=SC_HELP),
-        ("compare_exchange", 0): spec("helper-guard", "FAST_DEQUEUER branch: head swing past a fast-locked sentinel (model FastFixHead); winner retires it", sc=SC_SWING),
-        ("load", 4): spec("helper-guard", "head re-validation (L148)", sc=SC_HELP),
-        ("compare_exchange", 1): spec("helper-guard", "head swing (L150, model FixHead); winner retires the sentinel", sc=SC_SWING),
-    },
-    (HQ, "try_fast_enqueue"): {
-        ("load", 0): spec("helper-guard", "fast-path tail.next read classifying settled vs dangling (tail itself read via protect)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "fast-path tail re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the fast append CAS -- same L74 linearization point as the slow path, reached without a descriptor", sc=SC_APPEND, steps=["FastAppend"]),
-        ("compare_exchange", 1): spec("helper-guard", "owner's best-effort tail swing (model FastFixTail); helpers' FAST_ENQUEUER branch races the same CAS", sc=SC_SWING),
-    },
-    (HQ, "try_fast_dequeue"): {
-        ("load", 0): spec("helper-guard", "fast-path tail read for the empty/lag classification (head read via protect)", sc=SC_HELP),
-        ("load", 1): spec("linearization", "fast-path sentinel next read; with the head validated and first == last, observing null here is the empty-dequeue linearization", sc=SC_HELP, steps=["FastEmpty"]),
-        ("load", 2): spec("helper-guard", "fast-path head re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the fast deq_tid lock CAS (FAST_DEQUEUER marker) -- same L135 linearization point as the slow path", sc=SC_LOCK, steps=["FastLock"]),
-        ("fetch_or", 0): spec("reclamation", "fast owner's half of the two-token disposal gate on the new sentinel; AcqRel mirrors read_deq_result"),
-        ("compare_exchange", 1): spec("helper-guard", "owner's best-effort head swing (model FastFixHead); winner retires the unlinked sentinel", sc=SC_SWING),
-    },
-    (HQ, "reap_slot"): {
-        ("fetch_or", 0): spec("reclamation", "reaper's half of the adopted dequeue's two-token disposal gate (DESIGN.md SS13.4); AcqRel mirrors read_deq_result"),
-        ("swap", 0): spec("reclamation", "takes the victim's hazard-record token exactly once (zeroing the slot) so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
-    },
-    (HQ, "append_no_swing"): {
-        ("load", 0): spec("helper-guard", "test-only lagging-tail fixture (sudden-death wedge, DESIGN.md SS13.1): tail.next read classifying settled vs dangling (tail itself read via protect)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "test-only fixture: tail re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "test-only fixture: the fast append CAS without the step-3 tail swing -- same L74 linearization point as try_fast_enqueue", sc=SC_APPEND, steps=["FastAppend"]),
-    },
-    (HQ, "register"): spec("reclamation", "publishes the new participant's hazard-record token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
-    (HQ, "drop"): spec("reclamation", WHY_TEARDOWN),
-    # ----- kp-queue/hp tests -----------------------------------------
-    (HTY, "fresh_nodes_start_ungated"): spec("stats", WHY_TEST),
-    (HTY, "sentinels_are_born_consumed"): spec("stats", WHY_TEST),
-    (HTE, "drop"): spec("stats", WHY_TEST),
-    (HTE, "values_dropped_exactly_once"): spec("stats", WHY_TEST),
-    (HTE, "fast_path_values_dropped_exactly_once"): spec("stats", WHY_TEST),
     # ----- hazard tests ----------------------------------------------
     (HT, "drop"): spec("stats", WHY_TEST),
     (HT, "retire_without_hazard_reclaims_on_scan"): spec("stats", WHY_TEST),
@@ -646,7 +571,6 @@ SUPPRESSIONS = [
     ("sc-justification", "crates/hazard/src/retired.rs", None, "only the tests module uses SeqCst; production fns in this file have none"),
     ("sc-justification", "crates/hazard/tests/integration.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
     ("sc-justification", "crates/kp-queue/src/tests.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
-    ("sc-justification", "crates/kp-queue/src/hp/tests.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
     ("sc-justification", "crates/wcq/src/tests.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
     ("sc-justification", "crates/idpool/src/lib.rs", "oversubscribed_acquire_never_duplicates", "test scaffolding uses SeqCst for simplicity"),
     ("sc-justification", "crates/idpool/src/lib.rs", "concurrent_reap_race_single_winner", "test scaffolding uses SeqCst for simplicity"),

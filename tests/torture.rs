@@ -343,6 +343,42 @@ const EPOCH_FAST_SITES: &[&str] = &[
     "idpool.release",
 ];
 
+/// Every instrumented hazard-pointer-variant site, for seeded plans: the
+/// same windows as [`EPOCH_SITES`] under the `kp_hp.` prefix.
+const HP_SITES: &[&str] = &[
+    "kp_hp.publish",
+    "kp_hp.append",
+    "kp_hp.clear_pending.enq",
+    "kp_hp.swing_tail",
+    "kp_hp.bind_sentinel",
+    "kp_hp.lock_sentinel",
+    "kp_hp.clear_pending.deq",
+    "kp_hp.clear_pending.deq_empty",
+    "kp_hp.swing_head",
+    "idpool.acquire",
+    "idpool.release",
+];
+
+/// The hazard-pointer sites plus its five fast-path sites.
+const HP_FAST_SITES: &[&str] = &[
+    "kp_hp.publish",
+    "kp_hp.append",
+    "kp_hp.clear_pending.enq",
+    "kp_hp.swing_tail",
+    "kp_hp.bind_sentinel",
+    "kp_hp.lock_sentinel",
+    "kp_hp.clear_pending.deq",
+    "kp_hp.clear_pending.deq_empty",
+    "kp_hp.swing_head",
+    "kp_hp.fast.enq",
+    "kp_hp.fast.swing_tail",
+    "kp_hp.fast.deq",
+    "kp_hp.fast.swing_head",
+    "kp_hp.fast.demote",
+    "idpool.acquire",
+    "idpool.release",
+];
+
 /// Records one small history on a chaos-registered thread group and
 /// checks it against the sequential FIFO model (WGL checker). A macro
 /// rather than a fn so it works for every engine whose handle exposes
@@ -432,6 +468,45 @@ fn linearizable_under_seeded_adversarial_stalls_fast_path() {
         for round in 0..6 {
             let q: WfQueue<u64> =
                 WfQueue::with_config(THREADS, Config::fast().with_fast_path(2));
+            record_and_check!(&q, THREADS, 12, seed.wrapping_mul(6364136223846793005).wrapping_add(round));
+        }
+        let report = session.report();
+        assert!(report.stalls > 0, "seeded plan must actually stall (seed {seed})");
+        report.assert_linear_bound(THREADS, 400, 200);
+    }
+}
+
+/// The seeded stall rounds of
+/// [`linearizable_under_seeded_adversarial_stalls`] against the
+/// hazard-pointer variant (`kp_hp.*` and `idpool.*` sites).
+#[test]
+fn linearizable_under_seeded_adversarial_stalls_hp() {
+    quiet_chaos_kills();
+    const THREADS: usize = 3;
+    for seed in [1u64, 7, 42, 1337, 0x5EED] {
+        let session = chaos::install(FaultPlan::seeded(seed, HP_SITES, THREADS, 10));
+        for round in 0..8 {
+            let q: WfQueueHp<u64> = WfQueueHp::with_config(THREADS, Config::opt_both());
+            record_and_check!(&q, THREADS, 12, seed.wrapping_mul(6364136223846793005).wrapping_add(round));
+        }
+        let report = session.report();
+        assert!(report.stalls > 0, "seeded plan must actually stall (seed {seed})");
+        report.assert_linear_bound(THREADS, 400, 200);
+    }
+}
+
+/// The seeded fast-path stall rounds of
+/// [`linearizable_under_seeded_adversarial_stalls_fast_path`] against
+/// the hazard-pointer variant.
+#[test]
+fn linearizable_under_seeded_adversarial_stalls_fast_path_hp() {
+    quiet_chaos_kills();
+    const THREADS: usize = 3;
+    for seed in [3u64, 23, 4242, 0xFA57] {
+        let session = chaos::install(FaultPlan::seeded(seed, HP_FAST_SITES, THREADS, 10));
+        for round in 0..6 {
+            let q: WfQueueHp<u64> =
+                WfQueueHp::with_config(THREADS, Config::fast().with_fast_path(2));
             record_and_check!(&q, THREADS, 12, seed.wrapping_mul(6364136223846793005).wrapping_add(round));
         }
         let report = session.report();
