@@ -6,7 +6,7 @@
 //! reverse direction is pinned too: the three linearization-relevant
 //! step families of the paper — the append CAS, the `deqTid` lock CAS,
 //! and the empty observation — must each be claimed by some site in the
-//! one Kogan–Petrank core both reclamation backends run, so deleting a
+//! one Kogan–Petrank core, so deleting a
 //! manifest entry (or retagging it away from `linearization`) fails
 //! here even though the audit binary itself would still pass.
 
@@ -59,7 +59,6 @@ fn paper_linearization_steps_are_claimed_by_the_core() {
     // append CAS (Append), a successful dequeue at the deqTid lock CAS
     // (Lock), and an empty dequeue at the empty observation
     // acknowledged through the descriptor transition (Stage0Empty).
-    // Both the epoch and the hazard-pointer queue run this one core.
     for variant in ["crates/kp-queue/src/queue.rs"] {
         let claimed: BTreeSet<&str> = m
             .sites

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use harness::{workload, SchedPolicy};
-use kp_queue::{Config, HelpPolicy, PhasePolicy, WfQueue, WfQueueHp};
+use kp_queue::{Config, HelpPolicy, PhasePolicy, WfQueue};
 
 const ITERS: usize = 2_000;
 const THREADS: usize = 4;
@@ -94,11 +94,6 @@ fn bench_phase_policy(c: &mut Criterion) {
     g.finish();
 }
 
-fn run_config_hp(cfg: Config, threads: usize) -> Duration {
-    let q: WfQueueHp<u64> = WfQueueHp::with_config(threads, cfg);
-    workload::run_pairs(&q, threads, ITERS, SchedPolicy::Unpinned)
-}
-
 /// The descriptor/node-reuse ablation: the allocation-free hot path
 /// (packed state-slot words + recycled nodes) against the same
 /// algorithm with node reuse disabled, i.e. a fresh heap node per
@@ -112,8 +107,8 @@ fn bench_reuse_vs_alloc(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(3));
     for (name, cfg) in [
-        ("epoch/reuse", Config::opt_both()),
-        ("epoch/alloc", Config::opt_both().with_reuse(false)),
+        ("reuse", Config::opt_both()),
+        ("alloc", Config::opt_both().with_reuse(false)),
     ] {
         {
             let q: WfQueue<u64> = WfQueue::with_config(THREADS, cfg);
@@ -126,23 +121,6 @@ fn bench_reuse_vs_alloc(c: &mut Criterion) {
         }
         g.bench_function(name, |b| {
             b.iter_custom(|n| (0..n).map(|_| run_config(cfg, THREADS)).sum());
-        });
-    }
-    for (name, cfg) in [
-        ("hp/reuse", Config::opt_both()),
-        ("hp/alloc", Config::opt_both().with_reuse(false)),
-    ] {
-        {
-            let q: WfQueueHp<u64> = WfQueueHp::with_config(THREADS, cfg);
-            workload::run_pairs(&q, THREADS, ITERS, SchedPolicy::Unpinned);
-            let s = q.stats();
-            println!(
-                "{name}: probe run {} fresh node allocs, {} reuses over {} enqueues",
-                s.node_allocs, s.node_reuses, s.enqueues
-            );
-        }
-        g.bench_function(name, |b| {
-            b.iter_custom(|n| (0..n).map(|_| run_config_hp(cfg, THREADS)).sum());
         });
     }
     g.finish();

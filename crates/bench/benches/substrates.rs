@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kp_queue::{Config, ConcurrentQueue, QueueHandle, WfQueue, WfQueueHp};
+use kp_queue::{Config, ConcurrentQueue, QueueHandle, WfQueue};
 use ms_queue::{MsQueue, MsQueueHp, MutexQueue};
 
 fn bench_single_thread_ops(c: &mut Criterion) {
@@ -38,16 +38,6 @@ fn bench_single_thread_ops(c: &mut Criterion) {
         let q = MutexQueue::new();
         let mut h = q.register().unwrap();
         g.bench_function("mutex", |b| {
-            b.iter(|| {
-                h.enqueue(1u64);
-                criterion::black_box(h.dequeue());
-            })
-        });
-    }
-    {
-        let q: WfQueueHp<u64> = WfQueueHp::with_config(4, Config::opt_both());
-        let mut h = q.register().unwrap();
-        g.bench_function("WF_opt_hazard_n4", |b| {
             b.iter(|| {
                 h.enqueue(1u64);
                 criterion::black_box(h.dequeue());

@@ -7,13 +7,13 @@
 //! so consumers no longer have to decode variant names.
 //!
 //! Four grids:
-//! 1. the PR2/PR3 slow-path grid — {epoch, HP} × {base, opt(1+2)} ×
-//!    {reuse, alloc} × {pairs, 50-50} × a small thread sweep — kept
-//!    verbatim so slow-path drift vs the previous baseline is a
-//!    row-by-row diff;
-//! 2. the PR4 fast-path ablation — each fast variant against its
-//!    slow-path-only base (same memory management), with the merged
-//!    per-handle fallback counters recorded per cell;
+//! 1. the PR2/PR3 slow-path grid — {base, opt(1+2)} × {reuse, alloc}
+//!    × {pairs, 50-50} × a small thread sweep, on the one KP queue
+//!    (`wf` rows; earlier records split them into `wf-epoch` and
+//!    `wf-hp`, and `wf-hp` is the same queue);
+//! 2. the PR4 fast-path ablation — the fast variant against its
+//!    slow-path-only base, with the merged per-handle fallback counters
+//!    recorded per cell;
 //! 3. the PR5 reaper ablation (DESIGN.md §13) — the same opt_both cells
 //!    with `Config::with_reaper()` on, no faults injected, so the
 //!    on/off ratio is the pure protocol overhead (acceptance: geomean
@@ -45,7 +45,7 @@
 //!
 //! A separate stalled-reader probe pins the bounded-memory claim: with
 //! a registered consumer that never consumes while producers keep
-//! feeding the queue, the KP engines grow their live heap per enqueue
+//! feeding the queue, the KP engine grows its live heap per enqueue
 //! while wCQ's live bytes stay exactly flat (everything is preallocated
 //! at construction; a full ring rejects instead of allocating).
 //!
@@ -72,7 +72,7 @@ use harness::channel_load::{self, CellSpec, OpenLoopSpec};
 use harness::hist::LogHistogram;
 use harness::{workload, SchedPolicy, Variant};
 use kp_channel::{Channel, ChannelConfig, OverloadConfig, TrySendError};
-use kp_queue::{Config, WfQueue, WfQueueHp};
+use kp_queue::{Config, WfQueue};
 use queue_traits::{ConcurrentQueue, FastPathStats, QueueHandle};
 use wcq::WcQueue;
 
@@ -256,93 +256,71 @@ fn main() {
     for &threads in &thread_counts {
         for (config, reuse, cfg) in configs {
             for wl in ["pairs", "fifty_fifty"] {
-                for queue in ["wf-epoch", "wf-hp"] {
-                    let mut durs = Vec::with_capacity(reps);
-                    let mut allocs = Vec::with_capacity(reps);
-                    for _ in 0..reps {
-                        let (d, a) = match (queue, wl) {
-                            ("wf-epoch", "pairs") => rep(|| {
-                                let q: WfQueue<u64> = WfQueue::with_config(threads, cfg);
-                                workload::run_pairs(&q, threads, iters, SchedPolicy::Unpinned)
-                            }),
-                            ("wf-epoch", _) => rep(|| {
-                                let q: WfQueue<u64> = WfQueue::with_config(threads + 1, cfg);
-                                workload::run_fifty_fifty(
-                                    &q,
-                                    threads,
-                                    iters,
-                                    1_000,
-                                    SchedPolicy::Unpinned,
-                                )
-                            }),
-                            (_, "pairs") => rep(|| {
-                                let q: WfQueueHp<u64> = WfQueueHp::with_config(threads, cfg);
-                                workload::run_pairs(&q, threads, iters, SchedPolicy::Unpinned)
-                            }),
-                            _ => rep(|| {
-                                let q: WfQueueHp<u64> = WfQueueHp::with_config(threads + 1, cfg);
-                                workload::run_fifty_fifty(
-                                    &q,
-                                    threads,
-                                    iters,
-                                    1_000,
-                                    SchedPolicy::Unpinned,
-                                )
-                            }),
-                        };
-                        durs.push(d);
-                        allocs.push(a);
-                    }
-                    rows.push(finish_row(
-                        queue, config, reuse, wl, threads, iters, cores, durs, allocs, None,
-                        None,
-                    ));
+                let mut durs = Vec::with_capacity(reps);
+                let mut allocs = Vec::with_capacity(reps);
+                for _ in 0..reps {
+                    let (d, a) = match wl {
+                        "pairs" => rep(|| {
+                            let q: WfQueue<u64> = WfQueue::with_config(threads, cfg);
+                            workload::run_pairs(&q, threads, iters, SchedPolicy::Unpinned)
+                        }),
+                        _ => rep(|| {
+                            let q: WfQueue<u64> = WfQueue::with_config(threads + 1, cfg);
+                            workload::run_fifty_fifty(
+                                &q,
+                                threads,
+                                iters,
+                                1_000,
+                                SchedPolicy::Unpinned,
+                            )
+                        }),
+                    };
+                    durs.push(d);
+                    allocs.push(a);
                 }
+                rows.push(finish_row(
+                    "wf", config, reuse, wl, threads, iters, cores, durs, allocs, None, None,
+                ));
             }
         }
     }
 
     // Grid 2: the fast-path ablation cells (reuse=true throughout; the
     // fast path is an execution-mode knob, not a memory-management one).
+    let fast = Variant::WfFast;
     for &threads in &thread_counts {
         for wl in ["pairs", "fifty_fifty"] {
-            for (fast, _base) in Variant::FAST_ABLATION {
-                let queue = match fast {
-                    Variant::WfFast => "wf-fast",
-                    _ => "wf-fast-hp",
+            let mut durs = Vec::with_capacity(reps);
+            let mut allocs = Vec::with_capacity(reps);
+            let mut fp = FastPathStats::default();
+            for _ in 0..reps {
+                let a0 = alloc_track::total_allocs();
+                let (d, stats) = match wl {
+                    "pairs" => fast.run_pairs_stats(threads, iters, SchedPolicy::Unpinned),
+                    _ => fast.run_fifty_fifty_stats(
+                        threads,
+                        iters,
+                        1_000,
+                        SchedPolicy::Unpinned,
+                    ),
                 };
-                let mut durs = Vec::with_capacity(reps);
-                let mut allocs = Vec::with_capacity(reps);
-                let mut fp = FastPathStats::default();
-                for _ in 0..reps {
-                    let a0 = alloc_track::total_allocs();
-                    let (d, stats) = match wl {
-                        "pairs" => fast.run_pairs_stats(threads, iters, SchedPolicy::Unpinned),
-                        _ => fast.run_fifty_fifty_stats(
-                            threads,
-                            iters,
-                            1_000,
-                            SchedPolicy::Unpinned,
-                        ),
-                    };
-                    allocs.push(alloc_track::total_allocs() - a0);
-                    durs.push(d);
-                    fp.merge(&stats);
-                }
-                rows.push(finish_row(
-                    queue,
-                    "fast",
-                    true,
-                    wl,
-                    threads,
-                    iters,
-                    cores,
-                    durs,
-                    allocs,
-                    Some(fp),
-                    None,
-                ));
+                allocs.push(alloc_track::total_allocs() - a0);
+                durs.push(d);
+                fp.merge(&stats);
             }
+            rows.push(finish_row(
+                "wf-fast",
+                "fast",
+                true,
+                wl,
+                threads,
+                iters,
+                cores,
+                durs,
+                allocs,
+                Some(fp),
+                None,
+            ));
         }
     }
 
@@ -359,65 +337,47 @@ fn main() {
     let reap_cfg = Config::opt_both().with_reap_patience(usize::MAX >> 1);
     for &threads in &thread_counts {
         for wl in ["pairs", "fifty_fifty"] {
-            for queue in ["wf-epoch", "wf-hp"] {
-                let mut durs = Vec::with_capacity(reps);
-                let mut allocs = Vec::with_capacity(reps);
-                let mut reap_counts = (0u64, 0u64);
-                for _ in 0..reps {
-                    let a0 = alloc_track::total_allocs();
-                    let (d, stats) = match (queue, wl) {
-                        ("wf-epoch", "pairs") => {
-                            let q: WfQueue<u64> = WfQueue::with_config(threads, reap_cfg);
-                            let d = workload::run_pairs(&q, threads, iters, SchedPolicy::Unpinned);
-                            (d, q.stats())
-                        }
-                        ("wf-epoch", _) => {
-                            let q: WfQueue<u64> = WfQueue::with_config(threads + 1, reap_cfg);
-                            let d = workload::run_fifty_fifty(
-                                &q,
-                                threads,
-                                iters,
-                                1_000,
-                                SchedPolicy::Unpinned,
-                            );
-                            (d, q.stats())
-                        }
-                        (_, "pairs") => {
-                            let q: WfQueueHp<u64> = WfQueueHp::with_config(threads, reap_cfg);
-                            let d = workload::run_pairs(&q, threads, iters, SchedPolicy::Unpinned);
-                            (d, q.stats())
-                        }
-                        _ => {
-                            let q: WfQueueHp<u64> = WfQueueHp::with_config(threads + 1, reap_cfg);
-                            let d = workload::run_fifty_fifty(
-                                &q,
-                                threads,
-                                iters,
-                                1_000,
-                                SchedPolicy::Unpinned,
-                            );
-                            (d, q.stats())
-                        }
-                    };
-                    durs.push(d);
-                    allocs.push(alloc_track::total_allocs() - a0);
-                    reap_counts.0 += stats.reaps;
-                    reap_counts.1 += stats.quarantines;
-                }
-                rows.push(finish_row(
-                    queue,
-                    "opt_both+reap",
-                    true,
-                    wl,
-                    threads,
-                    iters,
-                    cores,
-                    durs,
-                    allocs,
-                    None,
-                    Some(reap_counts),
-                ));
+            let mut durs = Vec::with_capacity(reps);
+            let mut allocs = Vec::with_capacity(reps);
+            let mut reap_counts = (0u64, 0u64);
+            for _ in 0..reps {
+                let a0 = alloc_track::total_allocs();
+                let (d, stats) = match wl {
+                    "pairs" => {
+                        let q: WfQueue<u64> = WfQueue::with_config(threads, reap_cfg);
+                        let d = workload::run_pairs(&q, threads, iters, SchedPolicy::Unpinned);
+                        (d, q.stats())
+                    }
+                    _ => {
+                        let q: WfQueue<u64> = WfQueue::with_config(threads + 1, reap_cfg);
+                        let d = workload::run_fifty_fifty(
+                            &q,
+                            threads,
+                            iters,
+                            1_000,
+                            SchedPolicy::Unpinned,
+                        );
+                        (d, q.stats())
+                    }
+                };
+                durs.push(d);
+                allocs.push(alloc_track::total_allocs() - a0);
+                reap_counts.0 += stats.reaps;
+                reap_counts.1 += stats.quarantines;
             }
+            rows.push(finish_row(
+                "wf",
+                "opt_both+reap",
+                true,
+                wl,
+                threads,
+                iters,
+                cores,
+                durs,
+                allocs,
+                None,
+                Some(reap_counts),
+            ));
         }
     }
 
@@ -811,58 +771,53 @@ fn main() {
     }
 
     // Headline comparison for this PR: each fast cell against its
-    // slow-path-only base (same memory management, opt_both, reuse).
+    // slow-path-only base (opt_both, reuse).
     let mut fast_cmps = String::new();
     let mut log_sum = 0.0f64;
     let mut n_cmps = 0usize;
-    for (fast, _) in Variant::FAST_ABLATION {
-        let (fast_name, base_name) = match fast {
-            Variant::WfFast => ("wf-fast", "wf-epoch"),
-            _ => ("wf-fast-hp", "wf-hp"),
-        };
-        for &threads in &thread_counts {
-            for wl in ["pairs", "fifty_fifty"] {
-                let f = rows
-                    .iter()
-                    .find(|r| r.queue == fast_name && r.workload == wl && r.threads == threads)
-                    .expect("fast row");
-                let b = rows
-                    .iter()
-                    .find(|r| {
-                        r.queue == base_name
-                            && r.config == "opt_both"
-                            && r.reuse
-                            && r.workload == wl
-                            && r.threads == threads
-                    })
-                    .expect("base row");
-                let speedup = f.mops_per_sec / b.mops_per_sec;
-                log_sum += speedup.ln();
-                n_cmps += 1;
-                let fp = f.fast.as_ref().expect("fast row has stats");
-                let _ = write!(
-                    fast_cmps,
-                    "{}    {{\"fast\": \"{}\", \"base\": \"{}\", \"workload\": \"{}\", \
-                     \"threads\": {}, \"fast_over_base_speedup\": {:.4}, \
-                     \"fallback_rate\": {:.6}}}",
-                    if fast_cmps.is_empty() { "" } else { ",\n" },
-                    fast_name,
-                    base_name,
-                    wl,
-                    threads,
-                    speedup,
-                    fp.fallback_rate()
-                );
-                println!(
-                    "fast/base {} vs {} {} t={}: {:.3}x (fallback rate {:.4})",
-                    fast_name,
-                    base_name,
-                    wl,
-                    threads,
-                    speedup,
-                    fp.fallback_rate()
-                );
-            }
+    let (fast_name, base_name) = ("wf-fast", "wf");
+    for &threads in &thread_counts {
+        for wl in ["pairs", "fifty_fifty"] {
+            let f = rows
+                .iter()
+                .find(|r| r.queue == fast_name && r.workload == wl && r.threads == threads)
+                .expect("fast row");
+            let b = rows
+                .iter()
+                .find(|r| {
+                    r.queue == base_name
+                        && r.config == "opt_both"
+                        && r.reuse
+                        && r.workload == wl
+                        && r.threads == threads
+                })
+                .expect("base row");
+            let speedup = f.mops_per_sec / b.mops_per_sec;
+            log_sum += speedup.ln();
+            n_cmps += 1;
+            let fp = f.fast.as_ref().expect("fast row has stats");
+            let _ = write!(
+                fast_cmps,
+                "{}    {{\"fast\": \"{}\", \"base\": \"{}\", \"workload\": \"{}\", \
+                 \"threads\": {}, \"fast_over_base_speedup\": {:.4}, \
+                 \"fallback_rate\": {:.6}}}",
+                if fast_cmps.is_empty() { "" } else { ",\n" },
+                fast_name,
+                base_name,
+                wl,
+                threads,
+                speedup,
+                fp.fallback_rate()
+            );
+            println!(
+                "fast/base {} vs {} {} t={}: {:.3}x (fallback rate {:.4})",
+                fast_name,
+                base_name,
+                wl,
+                threads,
+                speedup,
+                fp.fallback_rate()
+            );
         }
     }
     let geomean = (log_sum / n_cmps as f64).exp();
@@ -922,38 +877,22 @@ fn main() {
         .with_reap_patience(PROBE_PATIENCE)
         .with_reap_min_silence_ms(0);
     let mut probes = String::new();
-    for queue in ["wf-epoch", "wf-hp"] {
-        let (latency, ops, reaps, quarantines) = if queue == "wf-epoch" {
-            let q: WfQueue<u64> = WfQueue::with_config(2, probe_cfg);
-            let probe = run_reap_probe(
-                || {
-                    let mut h = q.register().expect("probe victim slot");
-                    for i in 0..16 {
-                        h.enqueue(i);
-                    }
-                    std::mem::forget(h);
-                },
-                || q.register().expect("probe survivor slot"),
-                || q.stats().reaps,
-            );
-            let s = q.stats();
-            (probe.0, probe.1, s.reaps, s.quarantines)
-        } else {
-            let q: WfQueueHp<u64> = WfQueueHp::with_config(2, probe_cfg);
-            let probe = run_reap_probe(
-                || {
-                    let mut h = q.register().expect("probe victim slot");
-                    for i in 0..16 {
-                        h.enqueue(i);
-                    }
-                    std::mem::forget(h);
-                },
-                || q.register().expect("probe survivor slot"),
-                || q.stats().reaps,
-            );
-            let s = q.stats();
-            (probe.0, probe.1, s.reaps, s.quarantines)
-        };
+    {
+        let queue = "wf";
+        let q: WfQueue<u64> = WfQueue::with_config(2, probe_cfg);
+        let (latency, ops) = run_reap_probe(
+            || {
+                let mut h = q.register().expect("probe victim slot");
+                for i in 0..16 {
+                    h.enqueue(i);
+                }
+                std::mem::forget(h);
+            },
+            || q.register().expect("probe survivor slot"),
+            || q.stats().reaps,
+        );
+        let s = q.stats();
+        let (reaps, quarantines) = (s.reaps, s.quarantines);
         let _ = write!(
             probes,
             "{}    {{\"queue\": \"{}\", \"reap_patience\": {}, \
@@ -975,7 +914,7 @@ fn main() {
     }
 
     // Headline comparison for this PR: the three-way shootout — each
-    // wCQ cell against the KP slow path (wf-epoch opt_both, reuse) and
+    // wCQ cell against the KP slow path (wf opt_both, reuse) and
     // the KP fast path (wf-fast) on the identical workload cell. The
     // acceptance geomean counts unbounded-wcq-vs-KP-slow at ≥4 threads.
     let mut shootout = String::new();
@@ -985,7 +924,7 @@ fn main() {
         let slow = rows
             .iter()
             .find(|b| {
-                b.queue == "wf-epoch"
+                b.queue == "wf"
                     && b.config == "opt_both"
                     && b.reuse
                     && b.workload == r.workload
@@ -1031,7 +970,7 @@ fn main() {
     println!("wcq-over-kp-slow geomean across {wcq_n} cells at >=4 threads: {wcq_geomean:.4}x");
 
     // Stalled-reader memory probe: a registered consumer goes silent
-    // while a producer keeps feeding the queue. The KP engines allocate
+    // while a producer keeps feeding the queue. The KP engine allocates
     // a node per enqueue, so live heap grows with the backlog; wCQ
     // preallocated everything at construction and rejects on a full
     // ring, so its live-byte growth is exactly zero.
@@ -1048,28 +987,11 @@ fn main() {
         let growth = alloc_track::live_bytes().saturating_sub(mark);
         let _ = writeln!(
             stalled,
-            "    {{\"queue\": \"wf-epoch\", \"engine\": \"kogan-petrank\", \"capacity\": null, \
+            "    {{\"queue\": \"wf\", \"engine\": \"kogan-petrank\", \"capacity\": null, \
              \"items_offered\": {STALLED_FEED}, \"items_rejected\": 0, \
              \"live_bytes_growth\": {growth}}},"
         );
-        println!("stalled reader wf-epoch: +{growth} live bytes after {STALLED_FEED} enqueues");
-    }
-    {
-        let q: WfQueueHp<u64> = WfQueueHp::with_config(2, Config::opt_both());
-        let _reader = q.register().expect("stalled reader slot");
-        let mut h = q.register().expect("producer slot");
-        let mark = alloc_track::live_bytes();
-        for i in 0..STALLED_FEED {
-            h.enqueue(i as u64);
-        }
-        let growth = alloc_track::live_bytes().saturating_sub(mark);
-        let _ = writeln!(
-            stalled,
-            "    {{\"queue\": \"wf-hp\", \"engine\": \"kogan-petrank\", \"capacity\": null, \
-             \"items_offered\": {STALLED_FEED}, \"items_rejected\": 0, \
-             \"live_bytes_growth\": {growth}}},"
-        );
-        println!("stalled reader wf-hp: +{growth} live bytes after {STALLED_FEED} enqueues");
+        println!("stalled reader wf: +{growth} live bytes after {STALLED_FEED} enqueues");
     }
     {
         let cap = Variant::WcqBounded.capacity().expect("bounded");

@@ -14,7 +14,7 @@ use harness::args::{Args, BenchArgs};
 use harness::latency::profile_pairs;
 use harness::report::{render_table, write_csv, Series};
 use harness::{SchedPolicy, Variant};
-use kp_queue::{WfQueue, WfQueueHp};
+use kp_queue::WfQueue;
 use ms_queue::{MsQueue, MsQueueHp, MutexQueue};
 
 fn main() {
@@ -40,7 +40,6 @@ fn main() {
         Variant::LfHp,
         Variant::WfBase,
         Variant::WfOptBoth,
-        Variant::WfHp,
         Variant::Mutex,
     ];
     let mut p50 = Series::new("p50");
@@ -58,11 +57,6 @@ fn main() {
             Variant::Lf => profile_pairs(&MsQueue::new(), threads, iters, sched),
             Variant::LfHp => profile_pairs(&MsQueueHp::new(), threads, iters, sched),
             Variant::Mutex => profile_pairs(&MutexQueue::new(), threads, iters, sched),
-            Variant::WfHp => {
-                let q: WfQueueHp<u64> =
-                    WfQueueHp::with_config(threads, kp_queue::Config::opt_both());
-                profile_pairs(&q, threads, iters, sched)
-            }
             wf => {
                 let q: WfQueue<u64> =
                     WfQueue::with_config(threads, wf.wf_config().expect("wf variant"));

@@ -1,5 +1,5 @@
 //! Seed-matrix chaos driver: runs crash-and-stall torture rounds
-//! against both queue variants and exits non-zero on any violation —
+//! against the wait-free queue and exits non-zero on any violation —
 //! lost/duplicated values, an unreclaimable thread slot, or a
 //! wait-freedom watchdog breach.
 //!
@@ -19,11 +19,9 @@ use std::sync::{Barrier, Mutex, Once};
 
 use chaos::{ChaosKill, FaultPlan, ThreadSel};
 use harness::args::Args;
-use kp_queue::{Config, ConcurrentQueue, WfQueue, WfQueueHp};
+use kp_queue::{Config, ConcurrentQueue, WfQueue};
 
-/// Sites the seeded stall plans draw from (both variants' names, so one
-/// matrix covers epoch and hazard-pointer rounds; unknown sites simply
-/// never fire).
+/// Sites the seeded stall plans draw from.
 const SITES: &[&str] = &[
     "kp.publish",
     "kp.append",
@@ -33,14 +31,6 @@ const SITES: &[&str] = &[
     "kp.lock_sentinel",
     "kp.clear_pending.deq",
     "kp.swing_head",
-    "kp_hp.publish",
-    "kp_hp.append",
-    "kp_hp.clear_pending.enq",
-    "kp_hp.swing_tail",
-    "kp_hp.bind_sentinel",
-    "kp_hp.lock_sentinel",
-    "kp_hp.clear_pending.deq",
-    "kp_hp.swing_head",
     "hazard.protect.validate",
     "idpool.acquire",
 ];
@@ -57,7 +47,7 @@ fn quiet_chaos_kills() {
     });
 }
 
-/// One torture round; `$queue` picks the variant, `$kill_site` the step
+/// One torture round; `$queue` builds the queue, `$kill_site` the step
 /// the victim (tid 0, a consumer) dies at. Returns `Err` with a
 /// description instead of panicking so the driver can keep sweeping.
 macro_rules! round {
@@ -215,36 +205,22 @@ fn main() {
 
     let mut failures = 0usize;
     for &seed in &seeds {
-        for hp in [false, true] {
-            let label = if hp { "hp" } else { "epoch" };
-            let outcome = if hp {
-                round!(
-                    WfQueueHp::<u64>::with_config(threads, Config::opt_both()),
-                    "kp_hp.clear_pending.deq",
-                    seed,
-                    threads,
-                    per,
-                    stalls
-                )
-            } else {
-                round!(
-                    WfQueue::<u64>::with_config(threads, Config::opt_both()),
-                    "kp.clear_pending.deq",
-                    seed,
-                    threads,
-                    per,
-                    stalls
-                )
-            };
-            match outcome {
-                Ok(report) => println!(
-                    "seed {seed:>6} [{label:5}] ok: {} ops, {} stalls, {} kills, worst op {} steps",
-                    report.ops, report.stalls, report.kills, report.max_op_steps
-                ),
-                Err(msg) => {
-                    failures += 1;
-                    eprintln!("seed {seed:>6} [{label:5}] FAILED: {msg}");
-                }
+        let outcome = round!(
+            WfQueue::<u64>::with_config(threads, Config::opt_both()),
+            "kp.clear_pending.deq",
+            seed,
+            threads,
+            per,
+            stalls
+        );
+        match outcome {
+            Ok(report) => println!(
+                "seed {seed:>6} ok: {} ops, {} stalls, {} kills, worst op {} steps",
+                report.ops, report.stalls, report.kills, report.max_op_steps
+            ),
+            Err(msg) => {
+                failures += 1;
+                eprintln!("seed {seed:>6} FAILED: {msg}");
             }
         }
     }
@@ -252,5 +228,5 @@ fn main() {
         eprintln!("torture: {failures} round(s) failed");
         std::process::exit(1);
     }
-    println!("torture: all {} round(s) passed", seeds.len() * 2);
+    println!("torture: all {} round(s) passed", seeds.len());
 }

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use kp_queue::{Config, WfQueue, WfQueueHp};
+use kp_queue::{Config, WfQueue};
 use ms_queue::{MsQueue, MsQueueHp, MutexQueue};
 use queue_traits::FastPathStats;
 use wcq::WcQueue;
@@ -28,15 +28,9 @@ pub enum Variant {
     WfOpt2,
     /// Kogan–Petrank with both optimizations — **opt WF (1+2)**.
     WfOptBoth,
-    /// Kogan–Petrank opt (1+2) on hazard pointers (§3.4): fully
-    /// wait-free including memory management (reclamation ablation; not
-    /// a paper series).
-    WfHp,
     /// Kogan–Petrank opt (1+2) with the bounded lock-free fast path
     /// (DESIGN.md §12; the KP 2012 fast-path/slow-path methodology).
     WfFast,
-    /// The fast path on the hazard-pointer variant.
-    WfFastHp,
     /// wCQ bounded ring-buffer engine (DESIGN.md §14), sized so the
     /// benchmark workloads never hit the capacity wall.
     Wcq,
@@ -68,26 +62,17 @@ impl Variant {
     ];
 
     /// Everything, for exhaustive sweeps.
-    pub const ALL: [Variant; 12] = [
+    pub const ALL: [Variant; 10] = [
         Variant::Lf,
         Variant::LfHp,
         Variant::WfBase,
         Variant::WfOpt1,
         Variant::WfOpt2,
         Variant::WfOptBoth,
-        Variant::WfHp,
         Variant::WfFast,
-        Variant::WfFastHp,
         Variant::Wcq,
         Variant::WcqBounded,
         Variant::Mutex,
-    ];
-
-    /// The fast-path ablation cells of BENCH_PR4: each fast variant
-    /// paired with its slow-path-only base (same memory management).
-    pub const FAST_ABLATION: [(Variant, Variant); 2] = [
-        (Variant::WfFast, Variant::WfOptBoth),
-        (Variant::WfFastHp, Variant::WfHp),
     ];
 
     /// Series label, matching the paper's legends where applicable.
@@ -99,9 +84,7 @@ impl Variant {
             Variant::WfOpt1 => "opt WF (1)",
             Variant::WfOpt2 => "opt WF (2)",
             Variant::WfOptBoth => "opt WF (1+2)",
-            Variant::WfHp => "WF (hazard)",
             Variant::WfFast => "fast WF (1+2)",
-            Variant::WfFastHp => "fast WF (hazard)",
             Variant::Wcq => "wCQ",
             Variant::WcqBounded => "wCQ (bounded)",
             Variant::Mutex => "mutex",
@@ -117,9 +100,7 @@ impl Variant {
             "wf-opt1" | "opt WF (1)" | "opt1" => Some(Variant::WfOpt1),
             "wf-opt2" | "opt WF (2)" | "opt2" => Some(Variant::WfOpt2),
             "wf-opt" | "opt WF (1+2)" | "opt" => Some(Variant::WfOptBoth),
-            "wf-hp" | "WF (hazard)" => Some(Variant::WfHp),
             "wf-fast" | "fast WF (1+2)" | "fast" => Some(Variant::WfFast),
-            "wf-fast-hp" | "fast WF (hazard)" | "fast-hp" => Some(Variant::WfFastHp),
             "wcq" | "wCQ" => Some(Variant::Wcq),
             "wcq-bounded" | "wCQ (bounded)" => Some(Variant::WcqBounded),
             "mutex" => Some(Variant::Mutex),
@@ -182,14 +163,6 @@ impl Variant {
             Variant::LfHp => {
                 workload::run_pairs_with_stats(&MsQueueHp::new(), threads, iters, sched)
             }
-            Variant::WfHp => {
-                let q: WfQueueHp<u64> = WfQueueHp::with_config(threads, Config::opt_both());
-                workload::run_pairs_with_stats(&q, threads, iters, sched)
-            }
-            Variant::WfFastHp => {
-                let q: WfQueueHp<u64> = WfQueueHp::with_config(threads, Config::fast());
-                workload::run_pairs_with_stats(&q, threads, iters, sched)
-            }
             Variant::Wcq | Variant::WcqBounded => {
                 let q = self.wcq_queue(threads);
                 workload::run_pairs_with_stats(&q, threads, iters, sched)
@@ -236,14 +209,6 @@ impl Variant {
                 prefill,
                 sched,
             ),
-            Variant::WfHp => {
-                let q: WfQueueHp<u64> = WfQueueHp::with_config(threads + 1, Config::opt_both());
-                workload::run_fifty_fifty_with_stats(&q, threads, iters, prefill, sched)
-            }
-            Variant::WfFastHp => {
-                let q: WfQueueHp<u64> = WfQueueHp::with_config(threads + 1, Config::fast());
-                workload::run_fifty_fifty_with_stats(&q, threads, iters, prefill, sched)
-            }
             Variant::Wcq | Variant::WcqBounded => {
                 // +1 slot for the prefill handle, like the WF arms.
                 let q = self.wcq_queue(threads + 1);
@@ -327,7 +292,7 @@ mod tests {
 
     #[test]
     fn fast_variants_report_fast_path_stats() {
-        for v in [Variant::WfFast, Variant::WfFastHp, Variant::Wcq] {
+        for v in [Variant::WfFast, Variant::Wcq] {
             let (_, fp) = v.run_pairs_stats(2, 300, SchedPolicy::Unpinned);
             assert!(fp.fast_completions > 0, "{v}: fast path must run: {fp:?}");
             assert!(
@@ -339,14 +304,6 @@ mod tests {
         for v in [Variant::WfOptBoth, Variant::Lf, Variant::Mutex] {
             let (_, fp) = v.run_pairs_stats(2, 300, SchedPolicy::Unpinned);
             assert_eq!(fp.fast_completions, 0, "{v}");
-        }
-    }
-
-    #[test]
-    fn fast_ablation_pairs_fast_with_its_base() {
-        for (fast, base) in Variant::FAST_ABLATION {
-            assert!(fast.label().contains("fast"), "{fast}");
-            assert!(!base.label().contains("fast"), "{base}");
         }
     }
 }

@@ -9,12 +9,8 @@
 //! nothing and the op-scope functions are empty `#[inline(always)]`
 //! bodies, so the production queue pays zero cost.
 //!
-//! The Kogan–Petrank core is written once, but each reclamation backend
-//! names its sites under its own prefix — `kp.*` for the epoch backend
-//! (`WfQueue`), `kp_hp.*` for the hazard-pointer backend (`WfQueueHp`) —
-//! through its `Reclaim::SITES` table (`crate::reclaim::Sites`), so a
-//! fault plan can target one variant. The shared node pool's two sites
-//! are `kp.pool.*` under both:
+//! Every site is named under the `kp.` prefix (the node pool's two as
+//! `kp.pool.*`):
 //!
 //! | site | window it opens |
 //! |---|---|
@@ -39,7 +35,7 @@
 //! | `pool.steal` | a handle's stash is empty and the pool is not, before the steal-all swap |
 //!
 //! The pool sites are for stall plans only: the pool runs inside a
-//! retire-cache flush or a hazard scan's reclaim callback, and neither
+//! stash trim or a hazard scan's reclaim callback, and neither
 //! recovers from an unwind in the middle of a push.
 
 #[cfg(feature = "chaos")]

@@ -105,7 +105,7 @@ pub struct Config {
     /// `TICK_STRIDE * reap_patience` of its operations) is declared
     /// abandoned: its lease is revoked, its
     /// pending operation adopted through the ordinary helping machinery,
-    /// its ID retired for reuse, and its epoch/hazard participation
+    /// its ID retired for reuse, and its hazard record
     /// quarantined so reclamation advances again.
     pub reap_patience: usize,
     /// Wall-clock floor on the freeze declaration, in milliseconds.

@@ -22,7 +22,7 @@
 //! address can legitimately reappear in a later operation's word).
 //!
 //! Protocol invariants the packing relies on (established in
-//! `crate::queue`, for both reclamation backends):
+//! `crate::queue`):
 //!
 //! 1. **Completed words are final.** Helpers only CAS words whose
 //!    `pending` bit is set; a "transition" out of a completed word is
@@ -102,7 +102,7 @@ impl CtrlWord {
     /// * dequeue, pending: the sentinel the operation is about to lock
     ///   (stage 0 of `help_deq`), or null before stage 0;
     /// * dequeue, completed: the *value node* handed to the owner by
-    ///   step 2 (see `KpQueue::help_finish_deq`), or null for an
+    ///   step 2 (see `WfQueue::help_finish_deq`), or null for an
     ///   empty-queue result.
     pub(crate) fn node_addr(self) -> usize {
         ((self.0 >> ADDR_SHIFT) << 6) as usize
@@ -135,8 +135,8 @@ impl CtrlWord {
 
 /// One thread's entry in the `state` array: a reusable descriptor.
 ///
-/// Replaces the seed's `Atomic<OpDesc<T>>` (one heap allocation plus an
-/// epoch retirement per transition) with two in-place atomic words —
+/// Replaces the seed's `Atomic<OpDesc<T>>` (one heap allocation plus a
+/// retirement per transition) with two in-place atomic words —
 /// the steady-state descriptor path performs zero heap allocations.
 pub(crate) struct StateSlot {
     ctrl: AtomicU64,

@@ -1,34 +1,41 @@
 //! The per-thread handle: operation entry points (paper Figure 4 `enq`,
 //! Figure 6 `deq`), the §3.3 helping-policy dispatch, the fast-path
-//! prologue, unwind recovery, handle exit and the reaper's tick —
-//! written once over a [`Reclaim`] backend.
+//! prologue, unwind recovery, handle exit and the reaper's tick.
 
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
 
+use hazard::Participant;
 use idpool::{IdGuard, SlotState};
 use kp_sync::atomic::Ordering;
 use queue_traits::{FastPathStats, QueueHandle};
 
 use crate::chaos_hooks::{self, inject};
 use crate::config::HelpPolicy;
+use crate::hazard::{H_NEXT, H_NODE};
 use crate::node::{Node, FAST_ENQUEUER, NO_DEQUEUER};
 use crate::pool::Stash;
-use crate::queue::{FastDeq, KpQueue};
+use crate::queue::{FastDeq, WfQueue};
 use crate::reap::{Observation, ReapScan};
-use crate::reclaim::{Reclaim, H_NEXT, H_NODE};
 use crate::stats::Stats;
 
-/// A registered thread's handle to a [`KpQueue`]; used through
-/// [`WfHandle`](crate::WfHandle) and [`WfHpHandle`](crate::WfHpHandle).
+/// Nodes a handle keeps per pool steal beyond the one it needs; the
+/// surplus goes back to the pool node by node, for other handles'
+/// refills. (Pushing it back as one chain left the pool over its cap so
+/// often that the hazard scan's releases overflowed: ~10x the
+/// allocations on the contended check in `alloc_regression.rs`.)
+const LOCAL_CAP: usize = 32;
+
+/// A registered thread's handle to a [`WfQueue`].
 ///
 /// Owns a virtual thread ID (`TID` in the paper's listings) for the
 /// handle's lifetime; dropping the handle returns the ID to the pool.
 /// Operations take `&mut self` because a handle embodies *one* thread of
 /// the algorithm — the queue itself may be shared freely.
 ///
-/// The handle also owns the thread's reclamation state (its retire
-/// cache, or its hazard record) and a private stash of pool nodes:
+/// The handle also owns the thread's hazard record (a `Participant`)
+/// and a private stash of pool nodes:
 /// enqueues reuse nodes that no other thread can still reach, and what
 /// a dequeue-heavy thread cannot reuse itself reaches other threads'
 /// enqueues through the queue's node pool — making the steady-state
@@ -43,11 +50,15 @@ use crate::stats::Stats;
 /// could wedge every other thread: a helper may append the orphaned
 /// node, after which `help_finish_enq`'s descriptor identity check
 /// (L91) can never pass and the tail never advances.
-pub struct KpHandle<'q, T: Send, R: Reclaim> {
-    queue: &'q KpQueue<T, R>,
+pub struct WfHandle<'q, T: Send> {
+    queue: &'q WfQueue<T>,
     id: IdGuard<'q>,
-    /// Reclamation state (see `crate::reclaim`).
-    pub(crate) local: R::Local<'q, T>,
+    /// The hazard record (see `crate::hazard`). Manually dropped so exit
+    /// can *leak* it when the handle was reaped: the reaper already
+    /// quarantined it (slots nulled, parked for adoption), and a
+    /// successor may have adopted it — running `Participant::drop` then
+    /// would clobber the adopter's live hazards.
+    participant: ManuallyDrop<Participant<'q>>,
     /// Nodes stolen from the queue's pool (see `crate::pool`).
     stash: Stash<Node<T>>,
     /// Next state-array index to examine under `HelpPolicy::Cyclic`.
@@ -62,9 +73,9 @@ pub struct KpHandle<'q, T: Send, R: Reclaim> {
     /// Consecutive fast-path completions since the last starvation
     /// peek (see `Config::starvation_patience`).
     fast_streak: usize,
-    /// Plain (non-atomic, handle-local) fast/slow counters — always
-    /// collected, unlike the feature-gated shared `Stats`, so benches
-    /// can report fallback rates without perturbing the hot path.
+    /// Plain (non-atomic, handle-local) fast/slow counters, so benches
+    /// can report one handle's fallback rate without reading the
+    /// queue-wide `Stats`.
     local_stats: FastPathStats,
     /// Panic-recovery tracker: a node allocated for the fast path that
     /// is still *private* (never published by an append CAS or a
@@ -84,18 +95,22 @@ pub struct KpHandle<'q, T: Send, R: Reclaim> {
 // SAFETY: the raw pointers are `inflight`, a node that is by invariant
 // *private* to this handle whenever it is non-null (it is cleared the
 // instant the node is published), and `stash`, whose nodes left the
-// pool into this handle's exclusive ownership; the backend state owns
-// its nodes the same way. Moving the handle moves that ownership.
-unsafe impl<T: Send, R: Reclaim> Send for KpHandle<'_, T, R> {}
+// pool into this handle's exclusive ownership. Moving the handle moves
+// that ownership.
+unsafe impl<T: Send> Send for WfHandle<'_, T> {}
 
-impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
-    pub(crate) fn new(queue: &'q KpQueue<T, R>, id: IdGuard<'q>, local: R::Local<'q, T>) -> Self {
+impl<'q, T: Send> WfHandle<'q, T> {
+    pub(crate) fn new(
+        queue: &'q WfQueue<T>,
+        id: IdGuard<'q>,
+        participant: Participant<'q>,
+    ) -> Self {
         let tid = id.id();
         let n = queue.max_threads();
-        KpHandle {
+        WfHandle {
             queue,
             id,
-            local,
+            participant: ManuallyDrop::new(participant),
             stash: Stash::new(),
             cursor: (tid + 1) % n,
             // Any nonzero seed works; derive from the slot for variety.
@@ -117,8 +132,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         self.max_fast_failures = max_fast_failures;
     }
 
-    /// This handle's fast/slow execution counters (always collected,
-    /// independent of the `stats` cargo feature).
+    /// This handle's fast/slow execution counters.
     pub fn fast_path_stats(&self) -> FastPathStats {
         self.local_stats
     }
@@ -129,8 +143,14 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     }
 
     /// The queue this handle operates on.
-    pub fn queue(&self) -> &'q KpQueue<T, R> {
+    pub fn queue(&self) -> &'q WfQueue<T> {
         self.queue
+    }
+
+    /// Objects reclaimed so far through this handle's hazard record
+    /// (diagnostics; proves reclamation happens without a GC).
+    pub fn reclaimed(&self) -> usize {
+        self.participant.reclaimed()
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -144,18 +164,22 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// A node ready to carry `value`: one the backend can reuse (see
-    /// [`Reclaim::recycled`]), else a fresh heap node.
+    /// A node ready to carry `value`: the next one of the stash —
+    /// refilled by stealing the pool whole, and then trimmed to
+    /// [`LOCAL_CAP`] — else a fresh heap node.
     fn alloc_node(&mut self, value: T, tid: usize) -> *mut Node<T> {
         let q = self.queue;
-        let Some(node) = R::recycled(&mut self.local, &mut self.stash, &q.pool) else {
+        let refill = self.stash.is_empty();
+        let Some(node) = self.stash.take(&q.pool) else {
             Stats::bump(&q.stats.node_allocs);
             return Node::boxed(Some(value), tid);
         };
+        if refill {
+            self.stash.trim(LOCAL_CAP, &q.pool);
+        }
         Stats::bump(&q.stats.node_reuses);
-        // SAFETY: a recycled node is exclusively ours — epoch maturity
-        // or both disposal tokens proved no other thread can still
-        // reach it. The publish that follows in the caller (a SeqCst
+        // SAFETY: a pooled node is exclusively ours — both disposal
+        // tokens proved no other thread can still reach it. The publish that follows in the caller (a SeqCst
         // descriptor store or append CAS) releases these writes to any
         // helper that reads the node.
         unsafe {
@@ -178,7 +202,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
             // Base algorithm: the L64/L101 `help(phase)` call. The scan
             // includes our own entry, so the operation is complete when
             // it returns.
-            HelpPolicy::ScanAll => return q.help_all(&mut self.local, phase, tid),
+            HelpPolicy::ScanAll => return q.help_all(&mut self.participant, phase, tid),
             // §3.3 optimization 1: examine `chunk` entries starting at
             // the cyclic cursor (in addition to our own entry).
             HelpPolicy::Cyclic { chunk } => {
@@ -193,15 +217,15 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         for j in 0..chunk.min(n) {
             let i = (start + j) % n;
             if i != tid {
-                q.help_index(&mut self.local, i, phase, tid);
+                q.help_index(&mut self.participant, i, phase, tid);
             }
         }
         // Under the chunked policies our own entry was not visited;
         // drive our own operation to completion.
         if enqueue {
-            q.help_enq(&mut self.local, tid, phase, tid);
+            q.help_enq(&mut self.participant, tid, phase, tid);
         } else {
-            q.help_deq(&mut self.local, tid, phase, tid);
+            q.help_deq(&mut self.participant, tid, phase, tid);
         }
     }
 
@@ -252,9 +276,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
             "kp-queue handle reaped: the handle stayed silent past the lease \
              patience window and its virtual ID was revoked (DESIGN.md §13)"
         );
-        let tid = self.tid();
-        q.state[tid].bump_beat();
-        R::prologue(q, &mut self.local, tid);
+        q.state[self.tid()].bump_beat();
     }
 
     /// Signals liveness without performing an operation. A handle that
@@ -272,16 +294,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     }
 
     /// Runs `op` as one call of the protocol: the reaper prologue, then
-    /// the operation scope ([`Reclaim::pin`]) around an unwind guard,
-    /// then the reap tick.
-    ///
-    /// The prologue comes strictly before the pin: the epoch reaper's
-    /// publisher scan relies on every pinned handle having its token
-    /// visible first, so a live pin on a thread shared with a reaped
-    /// handle is never quarantined (DESIGN.md §13.4). The scope stays
-    /// open while the unwind guard runs recovery: completing a pending
-    /// dequeue reads nodes whose liveness argument is "retired during
-    /// this scope".
+    /// `op` under an unwind guard, then the reap tick.
     ///
     /// If a panic escapes from anywhere inside the protocol (including
     /// the fast path and the fast→slow demotion window), recovery
@@ -291,7 +304,6 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     #[inline]
     fn run<X>(&mut self, op: impl FnOnce(&mut Self) -> X) -> X {
         self.op_prologue();
-        let _scope = R::pin();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let x = op(self);
             self.reap_tick();
@@ -343,15 +355,12 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
 
     /// Enqueues every value of `batch` in order (the queue is unbounded,
     /// so nothing is ever refused), paying the per-call fixed costs —
-    /// reaper prologue, operation scope, unwind guard, reap tick — once
+    /// reaper prologue, unwind guard, reap tick — once
     /// for the whole batch instead of once per value. Each value is
     /// still its own operation of the protocol (own fast-path attempt
     /// or phase/descriptor publish), so the per-operation wait-freedom
     /// bound is unchanged; strictly the entry/exit overhead is
-    /// amortized. Under epochs the pin is held across the batch,
-    /// delaying node reclamation by at most one batch — callers should
-    /// keep batches modest (the channel layer bounds them by its
-    /// configured batch size).
+    /// amortized.
     ///
     /// Returns how many values were enqueued (always `batch.len()`).
     ///
@@ -382,8 +391,8 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     /// Dequeues up to `max` immediately available values into `out`,
     /// stopping at the first empty observation; returns how many were
     /// taken. The batched twin of [`enqueue_batch`]: per-call fixed
-    /// costs are paid once, each value is still its own bounded
-    /// operation, and the operation scope spans the batch.
+    /// costs are paid once, and each value is still its own bounded
+    /// operation.
     ///
     /// [`enqueue_batch`]: Self::enqueue_batch
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
@@ -443,7 +452,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         // escapes after the publishing CAS.
         self.inflight = node;
         let budget = Some(self.max_fast_failures);
-        if q.try_fast_enqueue(&mut self.local, node, budget, &mut self.inflight) {
+        if q.try_fast_enqueue(&mut self.participant, node, budget, &mut self.inflight) {
             self.fast_streak += 1;
             self.local_stats.fast_completions += 1;
             Stats::bump(&q.stats.fast_completions);
@@ -460,7 +469,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         // `enq_tid` after the descriptor publish below, whose SeqCst
         // store releases this write.
         unsafe { (*node).enq_tid = self.tid() };
-        inject!(R::SITES.fast_demote);
+        inject!("kp.fast.demote");
         self.local_stats.slow_ops += 1;
         let phase = q.next_phase(); // L62
         self.slow_enqueue_publish(phase, node);
@@ -474,7 +483,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         // The injection point sits before the node is prepared so a
         // simulated crash here leaks nothing: the value is still a plain
         // local, dropped by the unwind.
-        inject!(R::SITES.publish);
+        inject!("kp.publish");
         let node = self.alloc_node(value, self.tid());
         self.slow_enqueue_publish(phase, node);
     }
@@ -491,7 +500,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         // through the descriptor instead of reclaiming the node.
         self.inflight = ptr::null_mut();
         self.run_help(phase, true); // L64
-        q.help_finish_enq(&mut self.local); // L65 (see the paper's L65 argument)
+        q.help_finish_enq(&mut self.participant); // L65 (see the paper's L65 argument)
         Stats::bump(&q.stats.enqueues);
     }
 
@@ -507,7 +516,9 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
             Stats::bump(&q.stats.fast_starvation_demotions);
             return self.slow_dequeue();
         }
-        if let FastDeq::Done(result) = q.try_fast_dequeue(&mut self.local, self.max_fast_failures) {
+        if let FastDeq::Done(result) =
+            q.try_fast_dequeue(&mut self.participant, self.max_fast_failures)
+        {
             self.fast_streak += 1;
             self.local_stats.fast_completions += 1;
             Stats::bump(&q.stats.fast_completions);
@@ -517,7 +528,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         self.fast_streak = 0;
         self.local_stats.fast_exhaustions += 1;
         Stats::bump(&q.stats.fast_exhaustions);
-        inject!(R::SITES.fast_demote);
+        inject!("kp.fast.demote");
         self.slow_dequeue()
     }
 
@@ -526,14 +537,14 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         let q = self.queue;
         self.local_stats.slow_ops += 1;
         let phase = q.next_phase(); // L99
-        inject!(R::SITES.publish);
+        inject!("kp.publish");
         // L100: publish the operation descriptor (node = null).
         q.state[self.tid()].publish(phase, 0, false);
         // From publish until the epilogue claims the result, an unwind
         // leaves a dequeue whose value must still be taken-and-dropped.
         self.deq_in_flight = true;
         self.run_help(phase, false); // L101
-        q.help_finish_deq(&mut self.local); // L102
+        q.help_finish_deq(&mut self.participant); // L102
         Stats::bump(&q.stats.dequeues);
         let result = self.read_deq_result(); // L103–107
         self.deq_in_flight = false;
@@ -542,7 +553,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
 
     /// The L103–107 epilogue: our completed word names the *value node*
     /// (the sentinel's successor that the step-2 CAS handed us, see
-    /// `KpQueue::help_finish_deq`), or null for an empty result.
+    /// `WfQueue::help_finish_deq`), or null for an empty result.
     ///
     /// Ordering: Acquire, not SeqCst. This reads our *own* slot after
     /// our operation completed; the completing transition (ours or a
@@ -551,20 +562,13 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     /// coherence forbids reading anything older. No helping decision
     /// hangs off this read.
     ///
-    /// Liveness of the value node, argued once for both backends: head
-    /// cannot leave the locked sentinel before step 2, so when the
-    /// step-2 CAS named the value node it was still linked, hence not
-    /// retired. That CAS came after our publish.
-    ///
-    /// * Epoch: we pinned before publishing and stay pinned through this
-    ///   read (the `run` scope, or the `PendingOp` that holds the pin),
-    ///   so the node was retired — if at all — during our pin, and
-    ///   neither freeing nor recycling (which obeys the same maturity
-    ///   rule) can reach it before we unpin.
-    /// * Hazard pointers: the node cannot be released to the pool or the
-    ///   allocator before both disposal tokens are set, and
-    ///   `TOKEN_CONSUMED` is set by our own `take_value` — after the
-    ///   take, however long ago the operation completed.
+    /// Liveness of the value node: head cannot leave the locked
+    /// sentinel before step 2, so when the step-2 CAS named the value
+    /// node it was still linked, hence not retired. After that, the
+    /// node cannot be released to the pool or the allocator before both
+    /// disposal tokens are set, and `TOKEN_CONSUMED` is set by our own
+    /// `take_value` — after the take, however long ago the operation
+    /// completed.
     ///
     /// Uniqueness of the take: the step-2 CAS writes the value node into
     /// exactly one completed dequeue word (the lock on its predecessor
@@ -582,7 +586,7 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         // SAFETY: liveness and uniqueness per the doc comment above.
         let value = unsafe { q.take_value(w.node_ptr()) };
         // Checked in release builds on purpose: with the reaper in the
-        // picture, a claim-and-discard by `KpQueue::reap_slot` racing a
+        // picture, a claim-and-discard by `WfQueue::reap_slot` racing a
         // falsely-reaped (preempted, not dead) owner's epilogue would
         // make this second take return None — that must surface as a
         // panic, never as UB. The branch is perfectly predicted.
@@ -642,11 +646,11 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
             // slot since our snapshot — then it was not frozen after
             // all and we just move on.
             if q.ids.begin_reap(v, view.generation) {
-                q.reap_slot(&mut self.local, v, view.generation, tid);
+                q.reap_slot(&mut self.participant, v, view.generation, tid);
             }
         } else if let Some(next_generation) = q.ids.takeover_reap(v, view.generation) {
             Stats::bump(&q.stats.reap_takeovers);
-            q.reap_slot(&mut self.local, v, next_generation, tid);
+            q.reap_slot(&mut self.participant, v, next_generation, tid);
         }
         self.reap.advance(n);
     }
@@ -654,20 +658,18 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     /// Completes this handle's own published operation the way its
     /// owner would — a dequeue's result is claimed and discarded, so
     /// conservation stays exact (it counts as consumed by the departed
-    /// caller) — and drives tail and head past any node of ours. Runs
-    /// inside the operation scope the operation was published under
-    /// (unwind recovery) or a fresh one (handle exit, where the
-    /// operation, if pending, completes during that scope).
+    /// caller) — and drives tail and head past any node of ours (unwind
+    /// recovery and handle exit).
     fn finish_own_op(&mut self) {
         let q = self.queue;
         let tid = self.tid();
         let (w, phase) = q.state[tid].view(Ordering::SeqCst);
         if w.pending() {
             if w.enqueue() {
-                q.help_enq(&mut self.local, tid, phase, tid);
+                q.help_enq(&mut self.participant, tid, phase, tid);
             } else {
-                q.help_deq(&mut self.local, tid, phase, tid);
-                q.help_finish_deq(&mut self.local);
+                q.help_deq(&mut self.participant, tid, phase, tid);
+                q.help_finish_deq(&mut self.participant);
                 drop(self.read_deq_result());
             }
         } else if !w.enqueue() && self.deq_in_flight {
@@ -684,16 +686,15 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
         // tail is past it — one help_finish_enq call guarantees that.
         // The head needs no such gate (the L150 CAS is unconditional),
         // but we drive it too so the slot is left fully quiescent.
-        q.help_finish_enq(&mut self.local);
-        q.help_finish_deq(&mut self.local);
+        q.help_finish_enq(&mut self.participant);
+        q.help_finish_deq(&mut self.participant);
     }
 
     /// Restores the handle's invariants after a panic escaped from
     /// inside an operation. On return the descriptor is idle, no node
     /// is leaked or double-owned, no stale protection is left behind (a
     /// stale hazard would exclude its node from reclamation forever),
-    /// and the handle is usable. Runs inside the operation's own scope
-    /// (see [`run`](Self::run)).
+    /// and the handle is usable.
     #[cold]
     fn recover_after_unwind(&mut self) {
         // A still-private fast-path node: never published (the append
@@ -708,8 +709,8 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
             drop(unsafe { Box::from_raw(inflight) });
         }
         self.finish_own_op();
-        R::clear(&self.local, H_NODE);
-        R::clear(&self.local, H_NEXT);
+        self.participant.clear(H_NODE);
+        self.participant.clear(H_NEXT);
         self.fast_streak = 0;
     }
 
@@ -719,31 +720,24 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     /// the helping mechanism deterministically; not part of the public
     /// API surface.
     #[doc(hidden)]
-    pub fn begin_enqueue_unhelped(&mut self, value: T) -> KpPendingOp<'_, 'q, T, R> {
-        let scope = R::pin();
+    pub fn begin_enqueue_unhelped(&mut self, value: T) -> PendingOp<'_, 'q, T> {
         let node = self.alloc_node(value, self.tid());
-        self.begin_unhelped(scope, node as usize, true)
+        self.begin_unhelped(node as usize, true)
     }
 
     /// Dequeue counterpart of [`begin_enqueue_unhelped`].
     ///
     /// [`begin_enqueue_unhelped`]: Self::begin_enqueue_unhelped
     #[doc(hidden)]
-    pub fn begin_dequeue_unhelped(&mut self) -> KpPendingOp<'_, 'q, T, R> {
-        self.begin_unhelped(R::pin(), 0, false)
+    pub fn begin_dequeue_unhelped(&mut self) -> PendingOp<'_, 'q, T> {
+        self.begin_unhelped(0, false)
     }
 
-    fn begin_unhelped(
-        &mut self,
-        scope: R::Guard,
-        node: usize,
-        enqueue: bool,
-    ) -> KpPendingOp<'_, 'q, T, R> {
+    fn begin_unhelped(&mut self, node: usize, enqueue: bool) -> PendingOp<'_, 'q, T> {
         let phase = self.queue.next_phase();
         self.queue.state[self.tid()].publish(phase, node, enqueue);
-        KpPendingOp {
+        PendingOp {
             handle: self,
-            _scope: scope,
             phase,
             enqueue,
             done: false,
@@ -761,31 +755,29 @@ impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
     /// [`begin_enqueue_unhelped`]: Self::begin_enqueue_unhelped
     #[doc(hidden)]
     pub fn fast_append_unswung(&mut self, value: T) {
-        // Prologue before the scope, as in `run` (publisher-scan order).
         self.op_prologue();
-        let _scope = R::pin();
         let node = self.alloc_node(value, FAST_ENQUEUER);
         let mut untracked = ptr::null_mut();
         self.queue
-            .try_fast_enqueue(&mut self.local, node, None, &mut untracked);
+            .try_fast_enqueue(&mut self.participant, node, None, &mut untracked);
     }
 }
 
-impl<T: Send, R: Reclaim> QueueHandle<T> for KpHandle<'_, T, R> {
+impl<T: Send> QueueHandle<T> for WfHandle<'_, T> {
     fn enqueue(&mut self, value: T) {
-        KpHandle::enqueue(self, value);
+        WfHandle::enqueue(self, value);
     }
 
     fn dequeue(&mut self) -> Option<T> {
-        KpHandle::dequeue(self)
+        WfHandle::dequeue(self)
     }
 
     fn try_enqueue_batch(&mut self, batch: &mut Vec<T>) -> usize {
-        KpHandle::enqueue_batch(self, batch)
+        WfHandle::enqueue_batch(self, batch)
     }
 
     fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        KpHandle::dequeue_batch(self, out, max)
+        WfHandle::dequeue_batch(self, out, max)
     }
 
     fn fast_path_stats(&self) -> Option<FastPathStats> {
@@ -793,7 +785,7 @@ impl<T: Send, R: Reclaim> QueueHandle<T> for KpHandle<'_, T, R> {
     }
 }
 
-impl<T: Send, R: Reclaim> Drop for KpHandle<'_, T, R> {
+impl<T: Send> Drop for WfHandle<'_, T> {
     fn drop(&mut self) {
         // §3.3 "dummy descriptor on exit". The ID must not return to the
         // pool while `state[tid]` still describes an unfinished
@@ -806,7 +798,6 @@ impl<T: Send, R: Reclaim> Drop for KpHandle<'_, T, R> {
         // result, and leave a pristine descriptor behind.
         let q = self.queue;
         let tid = self.tid();
-        let scope = R::pin();
         // Exit counts as an operation under the lease protocol: signal
         // liveness first, so a reaper part-way through accumulating
         // silence against this slot restarts its patience window and
@@ -828,7 +819,10 @@ impl<T: Send, R: Reclaim> Drop for KpHandle<'_, T, R> {
         // generation. Only our private state is still ours.
         let live = self.id.lease_holds();
         if live {
-            R::leave(q, tid);
+            // Retract the record's token before completing our
+            // operation: a reap racing this exit then finds no token,
+            // and can never quarantine a record still in use.
+            q.tokens[tid].store(0, Ordering::SeqCst);
             self.finish_own_op();
             // Fresh idle descriptor (version-bumped in place): the
             // slot's next owner starts from the same state a brand-new
@@ -837,8 +831,13 @@ impl<T: Send, R: Reclaim> Drop for KpHandle<'_, T, R> {
             q.state[tid].reset();
         }
         self.stash.give_back(&q.pool);
-        drop(scope);
-        R::release(q, &mut self.local, tid, live);
+        if live {
+            // SAFETY: dropped exactly once — the reaped path leaks the
+            // quarantined record on purpose, and nothing touches the
+            // `ManuallyDrop` afterwards. The participant clears its
+            // slots and parks leftover retirees for adoption.
+            unsafe { ManuallyDrop::drop(&mut self.participant) };
+        }
         // `self.id` drops after this body, releasing the virtual ID —
         // only now that the state entry is helpable and self-contained.
     }
@@ -846,24 +845,17 @@ impl<T: Send, R: Reclaim> Drop for KpHandle<'_, T, R> {
 
 /// An in-flight operation started by `begin_enqueue_unhelped` or
 /// `begin_dequeue_unhelped` — the owner is "stalled" and other threads'
-/// operations may complete it through helping; used through
-/// [`PendingOp`](crate::PendingOp) and
-/// [`PendingOpHp`](crate::PendingOpHp).
-///
-/// Holds the owner's operation scope (the epoch pin), so the queue's
-/// node references stay valid until [`finish`](Self::finish). Not
-/// `Send`: it models one stalled thread.
+/// operations may complete it through helping. Test infrastructure; it
+/// models one stalled thread.
 #[doc(hidden)]
-pub struct KpPendingOp<'h, 'q, T: Send, R: Reclaim> {
-    handle: &'h mut KpHandle<'q, T, R>,
-    /// The owner's operation scope, held until the op is dropped.
-    _scope: R::Guard,
+pub struct PendingOp<'h, 'q, T: Send> {
+    handle: &'h mut WfHandle<'q, T>,
     phase: i64,
     enqueue: bool,
     done: bool,
 }
 
-impl<T: Send, R: Reclaim> KpPendingOp<'_, '_, T, R> {
+impl<T: Send> PendingOp<'_, '_, T> {
     /// True while the operation has not been linearized-and-acknowledged
     /// by anyone (owner or helper).
     pub fn is_pending(&self) -> bool {
@@ -884,13 +876,13 @@ impl<T: Send, R: Reclaim> KpPendingOp<'_, '_, T, R> {
         let q = h.queue;
         let tid = h.tid();
         if self.enqueue {
-            q.help_enq(&mut h.local, tid, self.phase, tid);
-            q.help_finish_enq(&mut h.local);
+            q.help_enq(&mut h.participant, tid, self.phase, tid);
+            q.help_finish_enq(&mut h.participant);
             Stats::bump(&q.stats.enqueues);
             None
         } else {
-            q.help_deq(&mut h.local, tid, self.phase, tid);
-            q.help_finish_deq(&mut h.local);
+            q.help_deq(&mut h.participant, tid, self.phase, tid);
+            q.help_finish_deq(&mut h.participant);
             Stats::bump(&q.stats.dequeues);
             h.read_deq_result()
         }
@@ -913,7 +905,7 @@ impl<T: Send, R: Reclaim> KpPendingOp<'_, '_, T, R> {
     }
 }
 
-impl<T: Send, R: Reclaim> Drop for KpPendingOp<'_, '_, T, R> {
+impl<T: Send> Drop for PendingOp<'_, '_, T> {
     fn drop(&mut self) {
         if !self.done {
             // The operation MUST be driven to completion before the

@@ -41,36 +41,14 @@
 //! plus [`HelpPolicy::RandomChunk`] (the paper's "random chunk" remark,
 //! probabilistic wait-freedom) and the `validate_before_cas` enhancement.
 //!
-//! # One algorithm, two reclamation backends
-//!
-//! Figures 1–6, the §3.3 policies, the fast path (DESIGN.md §12), unwind
-//! recovery, handle exit and the abandoned-handle reaper (DESIGN.md §13)
-//! are written once, over a reclamation backend that supplies only what
-//! differs — how a head/tail load is protected, where an unlinked
-//! sentinel goes, where an enqueue finds a reusable node, and how a dead
-//! handle's participation is quarantined:
-//!
-//! | Type | Backend | Progress of reclamation |
-//! |---|---|---|
-//! | [`WfQueue`] / [`WfHandle`] | epochs (crossbeam-style pins) | lock-free: one stalled pin stalls all reclamation |
-//! | [`WfQueueHp`] / [`WfHpHandle`] | hazard pointers (the paper's §3.4) | wait-free: a stalled thread pins at most two nodes |
-//!
-//! Both run the identical protocol, including the node hand-off: a
-//! completed dequeue's descriptor word names the *value node*, which
-//! the owner's pin (epochs) or a two-token disposal gate (hazard
-//! pointers) keeps allocated until the owner took the value.
-//!
-//! Source map: the core is `queue.rs` (shared structure, Figures 2, 4
-//! and 6, fast path, reap) and `handle.rs` (entry points, helping
-//! policies, recovery, exit); the seam is `reclaim.rs`; the backends
-//! are `epoch.rs` and `hazard.rs`.
-//!
 //! # Memory management
 //!
-//! The paper's base algorithm leans on the Java GC; §3.4 discusses
-//! non-GC runtimes, and §3.3 recommends reusing descriptor objects
-//! rather than allocating per transition. This implementation follows
-//! both through to an **allocation-free steady state**:
+//! The paper's base algorithm leans on the Java GC; §3.4 prescribes
+//! hazard pointers for non-GC runtimes, and §3.3 recommends reusing
+//! descriptor objects rather than allocating per transition. This
+//! implementation follows both, so memory management is wait-free like
+//! the queue operations (a stalled thread pins at most two nodes), and
+//! the steady state is **allocation-free**:
 //!
 //! * **Descriptors are not heap objects.** Each `state[tid]` entry is a
 //!   cache-padded pair of atomic words (packed
@@ -79,12 +57,16 @@
 //!   version, so a helper CAS armed with a stale view fails even when
 //!   node recycling makes the *fields* reappear.
 //! * **Nodes are recycled.** A retired sentinel becomes reusable once
-//!   the backend proves no thread can still reach it: under epochs when
-//!   it matures in the retiring handle's cache (`tag + 2 <=
-//!   global_epoch()`, the collector's own free rule), under hazard
-//!   pointers when both disposal tokens are set. Reusable nodes a
-//!   thread cannot use itself (a consumer's) reach other threads'
-//!   enqueues through one queue-wide node pool.
+//!   both tokens of its disposal gate are set: a hazard scan found it
+//!   uncovered, and its dequeue owner took the value (the completed
+//!   dequeue word names this *value node*, see `hazard.rs`). Reusable
+//!   nodes reach every thread's enqueues through one queue-wide node
+//!   pool, so a consumer's retirements feed a producer.
+//!
+//! Source map: `queue.rs` (shared structure, Figures 2, 4 and 6, fast
+//! path, reap), `handle.rs` (entry points, helping policies, recovery,
+//! exit), `hazard.rs` (hazard slots and the disposal gate), `pool.rs`
+//! (the node pool) and `desc.rs` (the packed descriptors).
 //!
 //! See DESIGN.md for the substitution rationale and the full
 //! descriptor-memory discussion.
@@ -112,7 +94,7 @@
 //! | L73 descriptor read in `help_enq` | SeqCst | single-read append argument, extended to recycling (see `queue.rs`) |
 //! | L90/L146 reads in `help_finish_*` | SeqCst | with reuse, an Acquire-stale *completed* word can equal the transition target field-for-field and no-op-skip step 2, swinging tail/head while the real op is still pending |
 //! | slot publish/reset/transition | SeqCst | doorway visibility + the SC chains above terminate at these stores |
-//! | `len_approx` / `is_empty` walks | Acquire | advisory diagnostics; only need initialised-node visibility |
+//! | `is_empty` probe | Acquire | advisory diagnostic; only needs initialised-node visibility |
 //! | owner's dequeue epilogue (L103–107) | Acquire | reads the thread's own completed slot; freshness follows from the SeqCst loop exit plus coherence |
 //! | stats counters | Relaxed | monotone counters, no synchronisation role |
 //!
@@ -145,57 +127,38 @@
 //! }
 //! assert_eq!(n, 400);
 //! ```
-//!
-//! [crossbeam-epoch]: https://docs.rs/crossbeam-epoch
+
 
 #![warn(missing_docs)]
 
 mod chaos_hooks;
 mod config;
 mod desc;
-mod epoch;
 mod handle;
 mod hazard;
 mod node;
 mod pool;
 mod queue;
 mod reap;
-mod reclaim;
 mod stats;
 
 pub use config::{Config, HelpPolicy, PhasePolicy};
+pub use handle::{PendingOp, WfHandle};
+pub use queue::WfQueue;
 pub use stats::StatsSnapshot;
 
-/// The Kogan–Petrank wait-free MPMC FIFO queue with epoch-based
-/// reclamation.
-///
-/// See the [crate documentation](crate) for the algorithm overview and
-/// the paper-variant table. Construct with `WfQueue::new` (default
-/// `opt WF (1+2)` configuration) or `WfQueue::with_config`, then call
-/// [`register`](ConcurrentQueue::register) from each participating
-/// thread.
-pub type WfQueue<T> = queue::KpQueue<T, epoch::Epoch>;
+/// The queue under its hazard-pointer name ([`WfQueue`] is the one
+/// queue; it always ran hazard pointers under this name).
+pub type WfQueueHp<T> = WfQueue<T>;
 
-/// A registered thread's handle to a [`WfQueue`].
-pub type WfHandle<'q, T> = handle::KpHandle<'q, T, epoch::Epoch>;
+/// [`WfHandle`] under its hazard-pointer name.
+pub type WfHpHandle<'q, T> = WfHandle<'q, T>;
 
-/// The Kogan–Petrank wait-free queue with hazard-pointer reclamation
-/// (paper §3.4): both the queue operations *and* memory management are
-/// wait-free. Same API and [`Config`] variants as [`WfQueue`].
-pub type WfQueueHp<T> = queue::KpQueue<T, hazard::Hazard>;
-
-/// A registered thread's handle to a [`WfQueueHp`].
-pub type WfHpHandle<'q, T> = handle::KpHandle<'q, T, hazard::Hazard>;
-
-/// A stalled operation of a [`WfHandle`] (test infrastructure).
+/// [`PendingOp`] under its hazard-pointer name (test infrastructure).
 #[doc(hidden)]
-pub type PendingOp<'h, 'q, T> = handle::KpPendingOp<'h, 'q, T, epoch::Epoch>;
+pub type PendingOpHp<'h, 'q, T> = PendingOp<'h, 'q, T>;
 
-/// A stalled operation of a [`WfHpHandle`] (test infrastructure).
-#[doc(hidden)]
-pub type PendingOpHp<'h, 'q, T> = handle::KpPendingOp<'h, 'q, T, hazard::Hazard>;
-
-/// The hazard-pointer variant under its module path.
+/// The hazard-pointer names under their module path.
 pub mod hp {
     pub use crate::{PendingOpHp, WfHpHandle, WfQueueHp};
 }

@@ -1,5 +1,4 @@
-//! The linked-list node (paper Figure 1, `class Node`), shared by both
-//! reclamation backends.
+//! The linked-list node (paper Figure 1, `class Node`).
 
 use kp_sync::atomic::{AtomicIsize, AtomicPtr, AtomicU8};
 use std::cell::UnsafeCell;
@@ -54,16 +53,15 @@ pub struct Node<T> {
     pub(crate) next: AtomicPtr<Node<T>>,
     /// Plain (non-atomic) because it is written only while the node is
     /// exclusively owned: at construction, or on reuse *before* the
-    /// owner republishes it (see `KpHandle::alloc_node`). `usize::MAX`
+    /// owner republishes it (see `WfHandle::alloc_node`). `usize::MAX`
     /// for the initial sentinel (never a dangling node, so never read).
     pub(crate) enq_tid: usize,
     pub(crate) deq_tid: AtomicIsize,
-    /// The hazard backend's two-token disposal gate,
-    /// [`TOKEN_CONSUMED`] | [`TOKEN_RECLAIM_READY`] (see `crate::hazard`);
-    /// unused under epochs.
+    /// The two-token disposal gate, [`TOKEN_CONSUMED`] |
+    /// [`TOKEN_RECLAIM_READY`] (see `crate::hazard`).
     pub(crate) tokens: AtomicU8,
     /// Freelist link; meaningful only while the node is off the list:
-    /// on a retire-cache chain, in the queue's `NodePool` or in a stash.
+    /// in the queue's `NodePool` or in a stash.
     pub(crate) free_next: AtomicPtr<Node<T>>,
 }
 

@@ -1,19 +1,10 @@
-//! The queue-wide node freelist, shared by both reclamation backends.
+//! The queue-wide node freelist.
 //!
-//! Each queue owns one [`NodePool`]; the backends differ only in the
-//! **admission rule** deciding when a node may enter it:
-//!
-//! * epoch [`WfQueue`](crate::WfQueue): once the node has *matured* in
-//!   the retiring handle's `RetireCache` (`tag + 2 <= global_epoch()`,
-//!   the collector's own free rule); the cache hands its matured front
-//!   run over as one chain.
-//! * HP [`WfQueueHp`](crate::WfQueueHp): when either side of the
-//!   two-token disposal gate observes both tokens — the hazard scan
-//!   found the node uncovered *and* its dequeue owner took the value
-//!   (see `crate::hazard`).
-//!
-//! Either way a pooled node is exclusively owned: no thread can still
-//! reach it through the queue. Handles allocate from a private [`Stash`]
+//! Each queue owns one [`NodePool`]. A node enters it when either side
+//! of the two-token disposal gate observes both tokens — the hazard
+//! scan found the node uncovered *and* its dequeue owner took the value
+//! (see `crate::hazard`) — so a pooled node is exclusively owned: no
+//! thread can still reach it through the queue. Handles allocate from a private [`Stash`]
 //! refilled by stealing the *whole* list, so the pool carries nodes from
 //! the thread that retires them (a consumer) to the thread that needs
 //! them (a producer).
@@ -32,7 +23,7 @@ use crate::chaos_hooks::inject;
 
 /// Push attempts before giving up and freeing the nodes instead. The
 /// bound keeps a push wait-free (it runs inside queue operations, from
-/// a retire cache or the hazard scan); losing the race this many times
+/// the hazard scan or a stash trim); losing the race this many times
 /// just means other threads are filling or draining the pool, so
 /// dropping our nodes costs little.
 const PUSH_ATTEMPTS: usize = 8;
@@ -72,9 +63,9 @@ pub struct NodePool<N: PoolNode> {
     /// Nodes freed instead of pooled while reuse was *on* — the pool
     /// was at its cap or the push-contention bound tripped. The
     /// memory-pressure backpressure signal (DESIGN.md §13); folded into
-    /// `StatsSnapshot::cache_overflows` by the queue's `stats`. Kept
-    /// unconditional (not `stats`-gated) because pushes run from HP
-    /// reclaim callbacks that have no access to the queue's `Stats`.
+    /// `StatsSnapshot::cache_overflows` by the queue's `stats`. Counted
+    /// here because pushes run from reclaim callbacks that have no
+    /// access to the queue's `Stats`.
     overflows: AtomicUsize,
     reuse: bool,
 }
@@ -91,7 +82,6 @@ impl<N: PoolNode> NodePool<N> {
     }
 
     /// Nodes freed past the cap so far (see the `overflows` field).
-    #[cfg_attr(not(feature = "stats"), allow(dead_code))]
     pub(crate) fn overflows(&self) -> u64 {
         self.overflows.load(Ordering::Relaxed) as u64
     }
@@ -121,7 +111,7 @@ impl<N: PoolNode> NodePool<N> {
     ///
     /// The caller must hold every node of the chain exclusively —
     /// unlinked from the queue and unreachable to every other thread
-    /// (the backend's admission rule) — and give each up only once per
+    /// (the two-token gate's admission rule) — and give each up only once per
     /// lifetime generation. Nodes must be `Box` allocations.
     pub(crate) unsafe fn push_chain(&self, first: *mut N, last: *mut N, n: usize) {
         if self.reuse && self.has_room() {

@@ -1,6 +1,5 @@
 //! The wait-free queue proper: shared structure and helping machinery
-//! (paper Figures 1, 2, 4 and 6), the fast path and the reaper —
-//! written once over a [`Reclaim`] backend.
+//! (paper Figures 1, 2, 4 and 6), the fast path and the reaper.
 //!
 //! Line references in comments (`L62`, `L74`, …) are to the paper's Java
 //! listings, so the transcription can be audited side by side.
@@ -14,18 +13,18 @@
 //! invariants). Each slot is `CachePadded` so adjacent tids' owner
 //! stores and helper scans do not false-share. A descriptor needs no
 //! protection of its own: it is a word, read with one atomic load, so
-//! only *nodes* go through the backend.
+//! only *nodes* take hazard slots.
 //!
 //! # Node protection
 //!
-//! Every node dereference below is of a node loaded through
-//! [`Reclaim::protect`] (a head or tail) or covered by
-//! [`Reclaim::hold`] and then validated by re-reading its anchor (a
-//! successor). Under epochs both are plain loads and the operation's pin
-//! does the protecting; under hazard pointers they are the `H_NODE` /
-//! `H_NEXT` slots. The arguments below are therefore stated once: "a
-//! node is retired only after head moves off it", and retired nodes
-//! are reused only once the backend proves no protection covers them.
+//! Every node dereference below is of a node loaded through the
+//! operating handle's `Participant::protect` in slot `H_NODE` (a head
+//! or tail) or covered by `Participant::set` in slot `H_NEXT` and then
+//! validated by re-reading its anchor (a successor); see
+//! `crate::hazard`. The arguments below therefore rest on one fact: "a
+//! node is retired only after head moves off it", and a retired node is
+//! reused only once a hazard scan found it uncovered (and its dequeue
+//! owner took the value).
 //!
 //! # Memory-ordering audit
 //!
@@ -37,6 +36,7 @@
 
 use std::ptr;
 
+use ::hazard::{Domain, Participant};
 use idpool::IdPool;
 use kp_sync::atomic::{AtomicI64, AtomicPtr, AtomicUsize, Ordering};
 use kp_sync::CachePadded;
@@ -45,22 +45,22 @@ use queue_traits::{ConcurrentQueue, RegistrationError};
 use crate::chaos_hooks::inject;
 use crate::config::{Config, PhasePolicy};
 use crate::desc::StateSlot;
-use crate::handle::KpHandle;
+use crate::handle::WfHandle;
+use crate::hazard::{self, reclaim_into_pool, H_NEXT, H_NODE, POOL_CAP};
 use crate::node::{Node, FAST_DEQUEUER, FAST_ENQUEUER, NO_DEQUEUER};
 use crate::pool::NodePool;
-use crate::reclaim::{Reclaim, H_NEXT, H_NODE};
 use crate::stats::{Stats, StatsSnapshot};
 
-/// The Kogan–Petrank wait-free MPMC FIFO queue over reclamation
-/// backend `R`; used through [`WfQueue`](crate::WfQueue) (epochs) and
-/// [`WfQueueHp`](crate::WfQueueHp) (hazard pointers, §3.4).
+/// The Kogan–Petrank wait-free MPMC FIFO queue, with hazard-pointer
+/// reclamation (paper §3.4): both the queue operations *and* memory
+/// management are wait-free.
 ///
 /// See the [crate documentation](crate) for the algorithm overview and
 /// the paper-variant table. Construct with `new` (default
 /// `opt WF (1+2)` configuration) or `with_config`, then call
 /// [`register`](ConcurrentQueue::register) from each participating
 /// thread.
-pub struct KpQueue<T, R: Reclaim> {
+pub struct WfQueue<T> {
     pub(crate) head: CachePadded<AtomicPtr<Node<T>>>,
     pub(crate) tail: CachePadded<AtomicPtr<Node<T>>>,
     /// One reusable descriptor slot per virtual thread ID (`state` in
@@ -70,35 +70,33 @@ pub struct KpQueue<T, R: Reclaim> {
     phase_counter: CachePadded<AtomicI64>,
     /// Virtual thread IDs (§3.3 long-lived renaming).
     pub(crate) ids: IdPool,
-    /// Per-tid participant token of the slot's current handle (the
-    /// epoch participant of its OS thread, or its hazard record), for
-    /// the reaper to quarantine a dead owner's participation
-    /// (DESIGN.md §13). `0` = none; the backend decides when it is
-    /// published.
+    /// Per-tid hazard-record token of the slot's current handle, for
+    /// the reaper to quarantine a dead owner's record (DESIGN.md §13).
+    /// Published at registration, retracted at exit; `0` = none.
     pub(crate) tokens: Box<[CachePadded<AtomicUsize>]>,
     pub(crate) config: Config,
     pub(crate) stats: Stats,
-    /// Queue-wide backend state. Declared before `pool` so it drops
-    /// first: the hazard domain's drop reclaims leftover retirees into
-    /// the pool.
-    pub(crate) domain: R::Domain,
-    /// Reclaimed nodes, stolen by handles whose own backend state
-    /// cannot feed their enqueues. Boxed so the address the hazard
-    /// backend hands its reclaim callbacks survives a move of the queue.
+    /// The hazard domain (two slots per handle). Declared before `pool`
+    /// so it drops first: its drop reclaims leftover retirees into the
+    /// pool.
+    pub(crate) domain: Domain,
+    /// Reclaimed nodes, stolen by handles' enqueues. Boxed so the
+    /// address the reclaim callbacks are handed survives a move of the
+    /// queue.
     pub(crate) pool: Box<NodePool<Node<T>>>,
 }
 
 // SAFETY: all cross-thread traffic goes through atomics. The only
 // non-atomic shared data is each node's payload (written before the
 // node is published and taken exactly once by the unique dequeue owner
-// — see `KpHandle::read_deq_result`) and each node's `enq_tid`
+// — see `WfHandle::read_deq_result`) and each node's `enq_tid`
 // (rewritten only while the node is exclusively owned, before
-// republication — see `KpHandle::alloc_node`).
-unsafe impl<T: Send, R: Reclaim> Send for KpQueue<T, R> {}
+// republication — see `WfHandle::alloc_node`).
+unsafe impl<T: Send> Send for WfQueue<T> {}
 // SAFETY: as for Send.
-unsafe impl<T: Send, R: Reclaim> Sync for KpQueue<T, R> {}
+unsafe impl<T: Send> Sync for WfQueue<T> {}
 
-impl<T: Send, R: Reclaim> KpQueue<T, R> {
+impl<T: Send> WfQueue<T> {
     /// Creates a queue for at most `max_threads` simultaneously
     /// registered handles, with the default (`opt WF (1+2)`) config.
     ///
@@ -124,7 +122,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         }
         // Queue constructor, L27–35.
         let sentinel = Node::sentinel();
-        KpQueue {
+        WfQueue {
             head: CachePadded::new(AtomicPtr::new(sentinel)),
             tail: CachePadded::new(AtomicPtr::new(sentinel)),
             state: (0..max_threads)
@@ -137,8 +135,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 .collect(),
             config,
             stats: Stats::default(),
-            domain: R::domain(),
-            pool: Box::new(NodePool::new(config.reuse_nodes, R::POOL_CAP)),
+            domain: Domain::new(H_NEXT + 1),
+            pool: Box::new(NodePool::new(config.reuse_nodes, POOL_CAP)),
         }
     }
 
@@ -153,17 +151,43 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         self.state.len()
     }
 
-    /// A copy of the queue's helping statistics. `cache_overflows`
-    /// includes the shared pool's over-cap frees (counted pool-side,
-    /// because hazard reclaim callbacks cannot reach `Stats`).
+    /// A copy of the queue's helping statistics. `cache_overflows` is
+    /// the shared pool's over-cap frees (counted pool-side, because
+    /// hazard reclaim callbacks cannot reach `Stats`).
     pub fn stats(&self) -> StatsSnapshot {
-        #[allow(unused_mut)]
-        let mut snapshot = self.stats.snapshot();
-        #[cfg(feature = "stats")]
-        {
-            snapshot.cache_overflows += self.pool.overflows();
+        StatsSnapshot {
+            cache_overflows: self.pool.overflows(),
+            ..self.stats.snapshot()
         }
-        snapshot
+    }
+
+    /// True if the queue is observed empty: `head.next` read under a
+    /// hazard held by a short-lived participant, so the sentinel cannot
+    /// be reclaimed under the read however many handles run.
+    ///
+    /// Ordering relaxation: Acquire, not SeqCst. The result is advisory
+    /// — it participates in no helping decision and no proof obligation.
+    pub fn is_empty(&self) -> bool {
+        let p = self.domain.enter();
+        let first = p.protect(H_NODE, &self.head);
+        // SAFETY: head is never null, and `first` is protected.
+        unsafe { (*first).next.load(Ordering::Acquire) }.is_null()
+    }
+
+    /// Number of elements: an O(n) walk of the list. The exclusive
+    /// borrow proves quiescence (no handle is registered, so nothing is
+    /// unlinked or retired under the walk).
+    pub fn len_approx(&mut self) -> usize {
+        let mut n = 0;
+        // SAFETY: exclusive access; head is never null and every linked
+        // node is owned by the list.
+        let mut cur = unsafe { (**self.head.get_mut()).next.load(Ordering::Relaxed) };
+        while !cur.is_null() {
+            n += 1;
+            // SAFETY: as above.
+            cur = unsafe { (*cur).next.load(Ordering::Relaxed) };
+        }
+        n
     }
 
     // ------------------------------------------------------------------
@@ -211,9 +235,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
 
     /// `help(phase)`, L36–47: scan the whole state array and help every
     /// pending operation no younger than `ph`.
-    pub(crate) fn help_all(&self, l: &mut R::Local<'_, T>, ph: i64, helper: usize) {
+    pub(crate) fn help_all(&self, p: &mut Participant<'_>, ph: i64, helper: usize) {
         for i in 0..self.state.len() {
-            self.help_index(l, i, ph, helper);
+            self.help_index(p, i, ph, helper);
         }
     }
 
@@ -222,31 +246,35 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// helping-obligation reason as [`is_still_pending`].
     ///
     /// [`is_still_pending`]: Self::is_still_pending
-    pub(crate) fn help_index(&self, l: &mut R::Local<'_, T>, i: usize, ph: i64, helper: usize) {
+    pub(crate) fn help_index(&self, p: &mut Participant<'_>, i: usize, ph: i64, helper: usize) {
         let (w, phase) = self.state[i].view(Ordering::SeqCst);
         if w.pending() && phase <= ph {
             if i != helper {
                 Stats::bump(&self.stats.help_calls);
             }
             if w.enqueue() {
-                self.help_enq(l, i, ph, helper);
+                self.help_enq(p, i, ph, helper);
             } else {
-                self.help_deq(l, i, ph, helper);
+                self.help_deq(p, i, ph, helper);
             }
         }
     }
 
-    /// Hands a sentinel just unlinked by a head CAS to the backend.
-    fn retire(&self, l: &mut R::Local<'_, T>, node: *mut Node<T>) {
+    /// Retires a sentinel just unlinked by a head CAS through the
+    /// node's token gate, so the dequeue owner's hazard-free epilogue
+    /// dereference stays safe.
+    fn retire(&self, p: &mut Participant<'_>, node: *mut Node<T>) {
+        let ctx = (&*self.pool as *const NodePool<Node<T>>).cast_mut().cast();
         // SAFETY: every caller is the unique winner of the head CAS that
-        // unlinked `node`, so it is retired exactly once.
-        if unsafe { R::retire(self, l, node) } {
-            Stats::bump(&self.stats.cache_overflows);
-        }
+        // unlinked `node`, so it is retired exactly once; `ctx` outlives
+        // every reclaim (the pool Box drops after the domain — field
+        // order above).
+        unsafe { p.retire_with(node.cast(), ctx, reclaim_into_pool::<T>) };
     }
 
-    /// Takes the value out of a completed dequeue's value node and
-    /// tells the backend (which may then release the node).
+    /// Takes the value out of a completed dequeue's value node and sets
+    /// the taker's token of its disposal gate (which may then release
+    /// the node).
     ///
     /// # Safety
     ///
@@ -259,7 +287,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         // and the descriptor word.
         let value = unsafe { (*(*node).value.get()).take() };
         // SAFETY: as above — the unique taker reports once.
-        unsafe { R::consumed(self, node) };
+        unsafe { hazard::consumed(&self.pool, node) };
         value
     }
 
@@ -270,9 +298,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// `help_enq(tid, phase)`, L67–84: drive thread `tid`'s pending
     /// enqueue until it is linearized (step 1 of the scheme: append the
     /// node at the end of the list).
-    pub(crate) fn help_enq(&self, l: &mut R::Local<'_, T>, tid: usize, ph: i64, helper: usize) {
+    pub(crate) fn help_enq(&self, p: &mut Participant<'_>, tid: usize, ph: i64, helper: usize) {
         while self.is_still_pending(tid, ph) {
-            let last = R::protect(l, H_NODE, &self.tail); // L69
+            let last = p.protect(H_NODE, &self.tail); // L69
             // SAFETY: protected; tail is never null, and a node is
             // retired only after head moves off it, which cannot happen
             // while it is still the tail.
@@ -295,7 +323,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // the read coherent with the pending check above.
                 let (w, phase) = self.state[tid].view(Ordering::SeqCst);
                 if w.pending() && phase <= ph && w.enqueue() {
-                    inject!(R::SITES.append);
+                    inject!("kp.append");
                     // SAFETY: `last` is protected.
                     let appended = unsafe {
                         (*last).next.compare_exchange(
@@ -312,13 +340,13 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                         if helper != tid {
                             Stats::bump(&self.stats.helped_appends);
                         }
-                        self.help_finish_enq(l); // L75
+                        self.help_finish_enq(p); // L75
                         return;
                     }
                 }
             } else {
                 // L79–80: some enqueue is in progress; finish it first.
-                self.help_finish_enq(l);
+                self.help_finish_enq(p);
             }
         }
     }
@@ -326,8 +354,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// `help_finish_enq()`, L85–97: steps 2 and 3 of the scheme — clear
     /// the owner's `pending` flag, then swing `tail` to the appended
     /// node.
-    pub(crate) fn help_finish_enq(&self, l: &mut R::Local<'_, T>) {
-        let last = R::protect(l, H_NODE, &self.tail); // L86
+    pub(crate) fn help_finish_enq(&self, p: &mut Participant<'_>) {
+        let last = p.protect(H_NODE, &self.tail); // L86
         // SAFETY: protected, as in `help_enq`.
         let next = unsafe { (*last).next.load(Ordering::SeqCst) }; // L87
         if next.is_null() {
@@ -335,7 +363,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         }
         // Cover `next` before dereferencing: while `last` is still the
         // tail, head ≤ last < next, so `next` cannot have been retired.
-        R::hold(l, H_NEXT, next);
+        p.set(H_NEXT, next);
         if self.tail.load(Ordering::SeqCst) == last {
             // SAFETY: covered and validated above.
             let tid = unsafe { (*next).enq_tid }; // L89: owner of the dangling node
@@ -345,7 +373,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // operation), so step 2 — and the L91 descriptor
                 // identity check, which could never pass — is skipped.
                 // The tail CAS from `last` re-validates by itself.
-                inject!(R::SITES.swing_tail);
+                inject!("kp.swing_tail");
                 let _ = self
                     .tail
                     .compare_exchange(last, next, Ordering::SeqCst, Ordering::Relaxed);
@@ -371,7 +399,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // help_finish_enq having already completed a *different*
                 // operation of the same thread).
                 if self.tail.load(Ordering::SeqCst) == last && cur.node_addr() == next as usize {
-                    inject!(R::SITES.clear_pending_enq);
+                    inject!("kp.clear_pending.enq");
                     // §3.3 enhancement: skip the descriptor CAS when the
                     // flag is already off (a racing helper beat us).
                     if !self.config.validate_before_cas || cur.pending() {
@@ -379,7 +407,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                         // version-tagged in-place transition; phase kept).
                         self.state[tid].cas_ctrl(cur, next as usize, false, true);
                     }
-                    inject!(R::SITES.swing_tail);
+                    inject!("kp.swing_tail");
                     // L94: step 3 — fix tail. At most one of the racing
                     // CASes succeeds; the others see tail already moved.
                     let _ =
@@ -388,7 +416,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 }
             }
         }
-        R::clear(l, H_NEXT);
+        p.clear(H_NEXT);
     }
 
     // ------------------------------------------------------------------
@@ -398,9 +426,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// `help_deq(tid, phase)`, L109–140: drive thread `tid`'s pending
     /// dequeue until it is linearized (either the sentinel is locked
     /// with `tid`, or the queue is observed empty).
-    pub(crate) fn help_deq(&self, l: &mut R::Local<'_, T>, tid: usize, ph: i64, helper: usize) {
+    pub(crate) fn help_deq(&self, p: &mut Participant<'_>, tid: usize, ph: i64, helper: usize) {
         while self.is_still_pending(tid, ph) {
-            let first = R::protect(l, H_NODE, &self.head); // L111
+            let first = p.protect(H_NODE, &self.head); // L111
             let last = self.tail.load(Ordering::SeqCst); // L112
             // SAFETY: protected; head is never null.
             let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L113
@@ -419,7 +447,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                     // phase selection (the L117–119 doorway guard).
                     let (cur, phase) = self.state[tid].view(Ordering::SeqCst);
                     if self.tail.load(Ordering::SeqCst) == last && cur.pending() && phase <= ph {
-                        inject!(R::SITES.clear_pending_deq_empty);
+                        inject!("kp.clear_pending.deq_empty");
                         // L118–120: record the empty result (node =
                         // null) and clear pending. Transition failure
                         // means another helper resolved the operation.
@@ -427,7 +455,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                     }
                 } else {
                     // L122–123: an enqueue is in progress; help it first.
-                    self.help_finish_enq(l);
+                    self.help_finish_enq(p);
                 }
             } else {
                 // L125: queue is not empty. L126: SeqCst for the same
@@ -441,12 +469,12 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // and non-empty paths agree on which node the operation
                 // is about to remove.
                 if self.head.load(Ordering::SeqCst) == first && cur.node_addr() != first as usize {
-                    inject!(R::SITES.bind_sentinel);
+                    inject!("kp.bind_sentinel");
                     if !self.state[tid].cas_ctrl(cur, first as usize, true, false) {
                         continue; // L132: descriptor changed; restart
                     }
                 }
-                inject!(R::SITES.lock_sentinel);
+                inject!("kp.lock_sentinel");
                 // L135: step 1 — lock the sentinel with the owner's tid
                 // (linearization point of a successful dequeue).
                 // SAFETY: `first` is still protected.
@@ -466,7 +494,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                     }
                 }
                 // L136: complete whichever dequeue locked the sentinel.
-                self.help_finish_deq(l);
+                self.help_finish_deq(p);
             }
         }
     }
@@ -478,15 +506,15 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// — the *value node*, about to become the new sentinel — instead of
     /// couriering the value through a descriptor (§3.4's suggestion; a
     /// packed word cannot carry a `T`). The owner takes the value out of
-    /// that node in `KpHandle::read_deq_result`.
-    pub(crate) fn help_finish_deq(&self, l: &mut R::Local<'_, T>) {
-        let first = R::protect(l, H_NODE, &self.head); // L142
+    /// that node in `WfHandle::read_deq_result`.
+    pub(crate) fn help_finish_deq(&self, p: &mut Participant<'_>) {
+        let first = p.protect(H_NODE, &self.head); // L142
         // SAFETY: protected.
         let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L143
         // Cover `next` before the head swing: while `first` is still the
         // head, `next` cannot have been retired (head must pass `first`
         // before it can pass `next`).
-        R::hold(l, H_NEXT, next);
+        p.set(H_NEXT, next);
         if self.head.load(Ordering::SeqCst) == first && !next.is_null() {
             // SAFETY: `first` is protected.
             let tid = unsafe { (*first).deq_tid.load(Ordering::SeqCst) }; // L144
@@ -495,12 +523,12 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // the dequeue and made the fast dequeuer the unique value
                 // taker, so step 2 is skipped. Step 3 and the
                 // winner-retires rule are unchanged.
-                inject!(R::SITES.swing_head);
-                self.swing_head(l, first, next);
+                inject!("kp.swing_head");
+                self.swing_head(p, first, next);
             } else if tid != NO_DEQUEUER {
                 // A locked sentinel was observed: the window between
                 // dequeue steps 1 and 2.
-                inject!(R::SITES.clear_pending_deq);
+                inject!("kp.clear_pending.deq");
                 let tid = tid as usize;
                 // L146: SeqCst — symmetric to the L90 argument: an
                 // Acquire-stale completed word of an *older* dequeue that
@@ -517,24 +545,24 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                         // and hand the owner its value node.
                         self.state[tid].cas_ctrl(cur, next as usize, false, false);
                     }
-                    inject!(R::SITES.swing_head);
-                    self.swing_head(l, first, next); // L150
+                    inject!("kp.swing_head");
+                    self.swing_head(p, first, next); // L150
                 }
             }
         }
-        R::clear(l, H_NEXT);
+        p.clear(H_NEXT);
     }
 
     /// Step 3 of a dequeue (L150): fix head. At most one racing CAS
     /// wins, and the winner alone retires the unlinked sentinel (§3.4's
     /// "RetireNode at the end of help_deq" point).
-    fn swing_head(&self, l: &mut R::Local<'_, T>, first: *mut Node<T>, next: *mut Node<T>) {
+    fn swing_head(&self, p: &mut Participant<'_>, first: *mut Node<T>, next: *mut Node<T>) {
         if self
             .head
             .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
         {
-            self.retire(l, first);
+            self.retire(p, first);
         }
     }
 
@@ -555,36 +583,35 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// so the slot must not be retired before the tail passed it), win
     /// the [`StateSlot::try_retire`] election, and only as the election
     /// winner perform the two destructive steps: claim-and-discard an
-    /// unclaimed dequeue result, and quarantine the victim's
-    /// participation (its wedged epoch pin or its leaked hazard record)
-    /// through the backend. Finally the lease is returned to the pool
+    /// unclaimed dequeue result, and quarantine the victim's leaked
+    /// hazard record. Finally the lease is returned to the pool
     /// (`finish_reap`), making the virtual ID acquirable again.
     ///
     /// [`StateSlot::try_retire`]: crate::desc::StateSlot::try_retire
     pub(crate) fn reap_slot(
         &self,
-        l: &mut R::Local<'_, T>,
+        p: &mut Participant<'_>,
         victim: usize,
         generation: u64,
         helper: usize,
     ) {
-        inject!(R::SITES.reap_adopt);
+        inject!("kp.reap.adopt");
         let (w0, phase0) = self.state[victim].view(Ordering::SeqCst);
         let was_pending = w0.pending();
         if was_pending {
             Stats::bump(&self.stats.reap_adoptions);
             if w0.enqueue() {
-                self.help_enq(l, victim, phase0, helper);
+                self.help_enq(p, victim, phase0, helper);
             } else {
-                self.help_deq(l, victim, phase0, helper);
+                self.help_deq(p, victim, phase0, helper);
             }
         }
         // The L91 wedge: the tail must move past any node the victim's
         // descriptor references before the descriptor may be blanked
-        // (same argument as `KpHandle::drop`). Head driven for symmetry.
-        self.help_finish_enq(l);
-        self.help_finish_deq(l);
-        inject!(R::SITES.reap_retire);
+        // (same argument as `WfHandle::drop`). Head driven for symmetry.
+        self.help_finish_enq(p);
+        self.help_finish_deq(p);
+        inject!("kp.reap.retire");
         let w1 = self.state[victim].load_ctrl(Ordering::SeqCst);
         if w1.pending() {
             // Only reachable if the "dead" owner published a new
@@ -608,7 +635,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // SAFETY: `w1` names the value node the step-2 CAS handed
                 // the victim during this reap (we saw the word pending),
                 // so the node is allocated by the argument of
-                // `KpHandle::read_deq_result`, with this reap standing in
+                // `WfHandle::read_deq_result`, with this reap standing in
                 // for the owner's operation scope. The try_retire
                 // election makes us the unique claimant.
                 let value = unsafe { self.take_value(w1.node_ptr()) };
@@ -620,13 +647,13 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             let token = self.tokens[victim].swap(0, Ordering::SeqCst);
             // SAFETY: the lease revocation (begin_reap/takeover) poisons
             // the victim handle — its next operation panics before
-            // touching the queue, and a reaped handle's exit leaves its
-            // participation alone — and we won the election.
-            if token != 0 && unsafe { R::quarantine(self, victim, token) } {
+            // touching the queue, and a reaped handle's exit leaks its
+            // record instead of touching it — and we won the election.
+            if unsafe { self.domain.quarantine(token) } {
                 Stats::bump(&self.stats.quarantines);
             }
         }
-        inject!(R::SITES.reap_finish);
+        inject!("kp.reap.finish");
         if self.ids.finish_reap(victim, generation) {
             Stats::bump(&self.stats.reaps);
         }
@@ -648,7 +675,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// bounds the loop by global progress), leaving `node` private so
     /// the caller can demote it to the slow path. With `budget` `None`
     /// the loop runs until the append lands and skips the step-3 tail
-    /// swing: the test fixture behind `KpHandle::fast_append_unswung`.
+    /// swing: the test fixture behind `WfHandle::fast_append_unswung`.
     ///
     /// `inflight` is the caller's panic-recovery tracker for the
     /// private node: it is cleared the instant the append CAS publishes
@@ -656,7 +683,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// `fast.swing_tail` chaos site) cannot double-free it.
     pub(crate) fn try_fast_enqueue(
         &self,
-        l: &mut R::Local<'_, T>,
+        p: &mut Participant<'_>,
         node: *mut Node<T>,
         budget: Option<usize>,
         inflight: &mut *mut Node<T>,
@@ -665,8 +692,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         // CAS publishes it.
         debug_assert_eq!(unsafe { &*node }.enq_tid, FAST_ENQUEUER);
         for _ in 0..budget.unwrap_or(usize::MAX) {
-            inject!(R::SITES.fast_enq);
-            let last = R::protect(l, H_NODE, &self.tail);
+            inject!("kp.fast.enq");
+            let last = p.protect(H_NODE, &self.tail);
             // SAFETY: protected, as in `help_enq` — its `next` is
             // write-once during the window below.
             let next = unsafe { (*last).next.load(Ordering::SeqCst) };
@@ -678,7 +705,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // finish that enqueue first, exactly like L79–80 — this
                 // keeps a slow-path append's step-2-before-step-3 order
                 // intact when fast ops race it.
-                self.help_finish_enq(l);
+                self.help_finish_enq(p);
                 continue;
             }
             // SAFETY: `last` is protected.
@@ -697,10 +724,10 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 *inflight = ptr::null_mut();
                 Stats::bump(&self.stats.appends_total);
                 if budget.is_none() {
-                    R::clear(l, H_NODE);
+                    p.clear(H_NODE);
                     return true;
                 }
-                inject!(R::SITES.fast_swing_tail);
+                inject!("kp.fast.swing_tail");
                 // Step 3, best effort: any helper's help_finish_enq
                 // (FAST_ENQUEUER branch) also swings the tail past us.
                 let _ = self
@@ -721,22 +748,22 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// vice versa. Lock success proves the sentinel was never dequeued
     /// and hence is still the head, making the value transfer uniquely
     /// ours.
-    pub(crate) fn try_fast_dequeue(&self, l: &mut R::Local<'_, T>, budget: usize) -> FastDeq<T> {
+    pub(crate) fn try_fast_dequeue(&self, p: &mut Participant<'_>, budget: usize) -> FastDeq<T> {
         for _ in 0..budget {
-            inject!(R::SITES.fast_deq);
-            let first = R::protect(l, H_NODE, &self.head);
+            inject!("kp.fast.deq");
+            let first = p.protect(H_NODE, &self.head);
             let last = self.tail.load(Ordering::SeqCst);
             // SAFETY: protected; head is never null.
             let next = unsafe { (*first).next.load(Ordering::SeqCst) };
             // Cover `next` before any dereference: while `first` is
             // still the head, `next` cannot have been retired.
-            R::hold(l, H_NEXT, next);
+            p.set(H_NEXT, next);
             if self.head.load(Ordering::SeqCst) != first {
-                R::clear(l, H_NEXT);
+                p.clear(H_NEXT);
                 continue;
             }
             if first == last {
-                R::clear(l, H_NEXT);
+                p.clear(H_NEXT);
                 if next.is_null() {
                     // Empty: linearizes at the `next` load above (the
                     // L115–120 shape without a descriptor record).
@@ -744,7 +771,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                     return FastDeq::Done(None);
                 }
                 // An enqueue is mid-flight; help it land (L122–123).
-                self.help_finish_enq(l);
+                self.help_finish_enq(p);
                 continue;
             }
             // SAFETY: `first` is protected.
@@ -760,8 +787,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             if !locked {
                 // Lost the lock to a concurrent dequeue (fast or slow):
                 // complete it so head advances, then retry.
-                R::clear(l, H_NEXT);
-                self.help_finish_deq(l);
+                p.clear(H_NEXT);
+                self.help_finish_deq(p);
                 continue;
             }
             // Step 1 won: the dequeue is linearized.
@@ -775,11 +802,11 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             // here (e.g. a reap-path double-take) must panic, never
             // become UB. The branch is perfectly predicted.
             let value = taken.expect("fast-locked sentinel's successor must hold a value");
-            inject!(R::SITES.fast_swing_head);
+            inject!("kp.fast.swing_head");
             // Step 3, best effort: a helper's help_finish_deq
             // (FAST_DEQUEUER branch) also swings.
-            self.swing_head(l, first, next);
-            R::clear(l, H_NEXT);
+            self.swing_head(p, first, next);
+            p.clear(H_NEXT);
             return FastDeq::Done(Some(value));
         }
         FastDeq::Exhausted
@@ -795,17 +822,22 @@ pub(crate) enum FastDeq<T> {
     Exhausted,
 }
 
-impl<T: Send, R: Reclaim> ConcurrentQueue<T> for KpQueue<T, R> {
+impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
     type Handle<'a>
-        = KpHandle<'a, T, R>
+        = WfHandle<'a, T>
     where
         T: 'a;
 
     fn register(&self) -> Result<Self::Handle<'_>, RegistrationError> {
         match self.ids.acquire() {
             Some(id) => {
-                let local = R::register(self, id.id());
-                Ok(KpHandle::new(self, id, local))
+                // The record's token is published before the handle can
+                // operate: if this handle dies, a reaper quarantines the
+                // record through it so its hazards stop blocking
+                // reclamation.
+                let participant = self.domain.enter();
+                self.tokens[id.id()].store(participant.record_token(), Ordering::SeqCst);
+                Ok(WfHandle::new(self, id, participant))
             }
             None => Err(RegistrationError {
                 capacity: self.max_threads(),
@@ -817,54 +849,30 @@ impl<T: Send, R: Reclaim> ConcurrentQueue<T> for KpQueue<T, R> {
         self.max_threads()
     }
 
-    /// Derived from the `stats` operation counters (three relaxed
-    /// loads), so it costs nothing the counters don't already. `None`
-    /// with the feature off — overload layers then disable depth-based
-    /// admission rather than trusting a fake zero.
+    /// Derived from the operation counters (three relaxed loads), so
+    /// it costs nothing the counters don't already.
     fn depth_hint(&self) -> Option<usize> {
-        #[cfg(feature = "stats")]
-        {
-            Some(self.stats.depth())
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            None
-        }
+        Some(self.stats.depth())
     }
 
     fn drained_hint(&self) -> Option<u64> {
-        #[cfg(feature = "stats")]
-        {
-            Some(self.stats.drained())
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            None
-        }
+        Some(self.stats.drained())
     }
 
-    /// The memory-pressure signal: retire-cache overflows plus the
-    /// pool's over-cap frees — the same composition as `stats()`. Zero
-    /// with `stats` off.
+    /// The memory-pressure signal: the pool's over-cap frees, as in
+    /// `stats()`.
     fn pressure_hint(&self) -> u64 {
-        #[cfg(feature = "stats")]
-        {
-            self.stats.cache_overflows.load(Ordering::Relaxed) + self.pool.overflows()
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            0
-        }
+        self.pool.overflows()
     }
 }
 
-impl<T, R: Reclaim> Drop for KpQueue<T, R> {
+impl<T> Drop for WfQueue<T> {
     fn drop(&mut self) {
         // Exclusive access: free the node list (values still resident
         // drop with their nodes; consumed ones are `None`). Descriptors
         // are in-place slot words — nothing to free. Retired nodes
-        // belong to the backend, pooled ones to the pool; both drop
-        // after this body, in that order.
+        // belong to the hazard domain, pooled ones to the pool; both
+        // drop after this body, in that order.
         let mut cur = *self.head.get_mut();
         while !cur.is_null() {
             // SAFETY: exclusive access; list nodes are owned by the list.
@@ -874,9 +882,9 @@ impl<T, R: Reclaim> Drop for KpQueue<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaim> std::fmt::Debug for KpQueue<T, R> {
+impl<T: Send> std::fmt::Debug for WfQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct(R::NAME)
+        f.debug_struct("WfQueue")
             .field("max_threads", &self.max_threads())
             .field("config", &self.config)
             .finish()

@@ -21,9 +21,7 @@
 //!
 //! The struct is deliberately dumb state: the decision of *what to do*
 //! with a frozen slot (begin a reap, take over a stalled one) lives in
-//! `KpHandle::reap_tick`, and the reap itself in `KpQueue::reap_slot`
-//! — one copy for both reclamation backends, which differ only in how
-//! the victim's participation is quarantined.
+//! `WfHandle::reap_tick`, and the reap itself in `WfQueue::reap_slot`.
 //!
 //! [`keepalive`]: crate::WfHandle::keepalive
 

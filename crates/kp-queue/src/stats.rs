@@ -5,28 +5,16 @@
 //! and the test suite observe that machinery directly (e.g. "under
 //! contention, a nonzero fraction of operations is completed by
 //! helpers"). All increments are relaxed — the numbers are statistics,
-//! not synchronization.
-//!
-//! Even relaxed, the shared `help_calls`/`appends_total` bumps are RMWs
-//! on contended cache lines and perturb the very benchmarks that
-//! measure helping cost. The counters are therefore behind the `stats`
-//! cargo feature (on by default): with it off, each counter is a ZST,
-//! `bump` compiles away, and `snapshot` returns zeros — the API shape
-//! is unchanged so callers need no cfgs.
+//! not synchronization. They are not only statistics, though: the
+//! enqueue/dequeue counters also back the admission gauges
+//! (`depth_hint`, `drained_hint`) the channel's overload control reads,
+//! so they are always compiled in.
 
-#[cfg(feature = "stats")]
 use kp_sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(feature = "stats")]
 use kp_sync::CachePadded;
 
-/// One statistic cell: a padded atomic with the feature on, a ZST with
-/// it off.
-#[cfg(feature = "stats")]
+/// One statistic cell, padded to its own cache line.
 pub(crate) type Counter = CachePadded<AtomicU64>;
-#[cfg(not(feature = "stats"))]
-#[derive(Default)]
-pub(crate) struct Counter;
 
 #[derive(Default)]
 pub(crate) struct Stats {
@@ -54,9 +42,9 @@ pub(crate) struct Stats {
     /// `help_enq`/`help_deq` for a peer.
     pub(crate) help_calls: Counter,
     /// Nodes taken from the heap because no recycled node was available
-    /// (see `RetireCache` / `NodePool`). Zero in steady state.
+    /// (see `NodePool`). Zero in steady state.
     pub(crate) node_allocs: Counter,
-    /// Nodes served from a recycle cache instead of the heap.
+    /// Nodes served from the node pool instead of the heap.
     pub(crate) node_reuses: Counter,
     /// Operations completed entirely on the descriptor-free fast path
     /// (enqueues whose append CAS won, dequeues whose `deqTid` lock won
@@ -69,31 +57,24 @@ pub(crate) struct Stats {
     /// starvation peek observed a pending peer descriptor.
     pub(crate) fast_starvation_demotions: Counter,
     /// Abandoned-handle reaps completed (lease revoked, slot retired,
-    /// participation quarantined). See DESIGN.md §13.
+    /// hazard record quarantined). See DESIGN.md §13.
     pub(crate) reaps: Counter,
     /// Reaps whose victim had a pending descriptor that the reaper
     /// adopted and completed through the helping machinery.
     pub(crate) reap_adoptions: Counter,
     /// Reaps taken over from a reaper that itself went silent mid-reap.
     pub(crate) reap_takeovers: Counter,
-    /// Epoch participants / hazard records force-quarantined by reaps.
+    /// Hazard records force-quarantined by reaps.
     pub(crate) quarantines: Counter,
-    /// Memory-pressure backpressure: nodes pushed out of a full
-    /// `RetireCache` to the shared epoch collector. The queues' `stats`
-    /// add the nodes their `NodePool` freed past its cap. Growth beyond
-    /// the caps is degraded to reclamation work instead of unbounded
-    /// caching.
-    pub(crate) cache_overflows: Counter,
 }
 
 impl Stats {
     #[inline]
-    pub(crate) fn bump(_counter: &Counter) {
-        #[cfg(feature = "stats")]
-        _counter.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(counter: &Counter) {
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[cfg(feature = "stats")]
+    /// The counters' values; `cache_overflows` is the pool's to fill in.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             enqueues: self.enqueues.load(Ordering::Relaxed),
@@ -114,19 +95,13 @@ impl Stats {
             reap_adoptions: self.reap_adoptions.load(Ordering::Relaxed),
             reap_takeovers: self.reap_takeovers.load(Ordering::Relaxed),
             quarantines: self.quarantines.load(Ordering::Relaxed),
-            cache_overflows: self.cache_overflows.load(Ordering::Relaxed),
+            cache_overflows: 0,
         }
-    }
-
-    #[cfg(not(feature = "stats"))]
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
     }
 
     /// Monotonic count of values removed so far (empty dequeues carry
     /// no value, so they are subtracted out). The overload layer's
     /// drain heartbeat — three relaxed loads, no full snapshot.
-    #[cfg(feature = "stats")]
     pub(crate) fn drained(&self) -> u64 {
         self.dequeues
             .load(Ordering::Relaxed)
@@ -138,7 +113,6 @@ impl Stats {
     /// between the loads errs toward overcounting, never negative —
     /// exact at quiescence, stale by at most the number of in-flight
     /// operations under load.
-    #[cfg(feature = "stats")]
     pub(crate) fn depth(&self) -> usize {
         let drained = self.drained();
         self.enqueues.load(Ordering::Relaxed).saturating_sub(drained) as usize
@@ -146,8 +120,6 @@ impl Stats {
 }
 
 /// A point-in-time copy of a queue's helping statistics.
-///
-/// All-zero when the crate is built without the `stats` feature.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Completed enqueue operations.
@@ -178,7 +150,7 @@ pub struct StatsSnapshot {
     /// Nodes freshly heap-allocated because no recycled node was
     /// available. Zero per op in steady state with `reuse_nodes` on.
     pub node_allocs: u64,
-    /// Nodes served from a recycle cache instead of the heap.
+    /// Nodes served from the node pool instead of the heap.
     pub node_reuses: u64,
     /// Operations completed entirely on the descriptor-free fast path.
     pub fast_completions: u64,
@@ -195,10 +167,11 @@ pub struct StatsSnapshot {
     pub reap_adoptions: u64,
     /// Reaps taken over from a reaper that itself went silent mid-reap.
     pub reap_takeovers: u64,
-    /// Epoch participants / hazard records force-quarantined by reaps.
+    /// Hazard records force-quarantined by reaps.
     pub quarantines: u64,
-    /// Nodes that bypassed a full recycle cache/pool (memory-pressure
-    /// backpressure; see DESIGN.md §13 degradation bounds).
+    /// Nodes freed instead of pooled because the node pool was full
+    /// (memory-pressure backpressure; see DESIGN.md §13 degradation
+    /// bounds).
     pub cache_overflows: u64,
 }
 
@@ -236,7 +209,6 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "stats")]
     #[test]
     fn snapshot_reflects_bumps() {
         let s = Stats::default();
@@ -248,15 +220,6 @@ mod tests {
         assert_eq!(snap.helped_locks, 1);
         assert_eq!(snap.ops(), 2);
         assert!((snap.helped_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[cfg(not(feature = "stats"))]
-    #[test]
-    fn bumps_are_noops_without_the_feature() {
-        let s = Stats::default();
-        Stats::bump(&s.enqueues);
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-        assert_eq!(std::mem::size_of::<Stats>(), 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub fn check_with_budget<M: Model>(model: &M, history: &History<M::Op>, budget: 
         memo: HashSet::new(),
         remaining: budget,
     };
-    match search.dfs(model.initial()) {
+    match search.run(model.initial()) {
         Ok(true) => Outcome::Linearizable,
         Ok(false) => Outcome::NotLinearizable,
         Err(Exhausted) => Outcome::Unknown,
@@ -66,52 +66,120 @@ struct Search<'a, M: Model> {
     remaining: u64,
 }
 
+/// One search node on the explicit DFS stack: the state reached by the
+/// operations placed so far, and where its candidate scan stands.
+struct Frame<S> {
+    state: S,
+    /// Every operation below this index is placed.
+    lo: usize,
+    /// Earliest return among the unplaced operations: only operations
+    /// invoked before it may linearize next.
+    min_ret: u64,
+    /// Next candidate index to try.
+    next: usize,
+    /// The candidate placed for the child being explored, undone when
+    /// that child fails.
+    placed: Option<usize>,
+}
+
+/// What entering a search node found.
+enum Node<S> {
+    /// Every operation is placed: the history is linearizable.
+    Complete,
+    /// This (done-mask, state) pair was explored before and failed
+    /// (success ends the whole search immediately).
+    Failed,
+    /// A fresh node whose candidates are still to be tried.
+    Open(Frame<S>),
+}
+
 impl<M: Model> Search<'_, M> {
-    /// Returns whether the not-yet-linearized suffix can be completed
-    /// from `state`.
-    fn dfs(&mut self, state: M::State) -> Result<bool, Exhausted> {
+    /// Returns whether every operation can be linearized from `initial`.
+    ///
+    /// A depth-first search over an explicit frame stack rather than the
+    /// call stack: its depth is the history's length, which would
+    /// overflow a thread's stack on long histories.
+    fn run(&mut self, initial: M::State) -> Result<bool, Exhausted> {
+        let mut stack = match self.enter(initial, 0)? {
+            Node::Complete => return Ok(true),
+            Node::Failed => return Ok(false),
+            Node::Open(frame) => vec![frame],
+        };
+        while let Some(top) = stack.last_mut() {
+            if let Some(i) = top.placed.take() {
+                self.done.remove(i); // that child failed
+            }
+            let mut child = None;
+            while top.next < self.ops.len() {
+                let i = top.next;
+                top.next += 1;
+                let rec = self.ops[i];
+                if rec.invoke > top.min_ret {
+                    top.next = self.ops.len(); // sorted by invoke: no further candidates
+                    break;
+                }
+                if self.done.contains(i) {
+                    continue;
+                }
+                if let Some(next) = self.model.step(&top.state, &rec.op) {
+                    child = Some((i, next));
+                    break;
+                }
+            }
+            let Some((i, next)) = child else {
+                stack.pop(); // no candidate completes from this node
+                continue;
+            };
+            self.done.insert(i);
+            top.placed = Some(i);
+            let lo = top.lo;
+            match self.enter(next, lo)? {
+                Node::Complete => return Ok(true),
+                Node::Failed => {}
+                Node::Open(frame) => stack.push(frame),
+            }
+        }
+        Ok(false)
+    }
+
+    /// Visits the node reached in `state`; `lo` is a lower bound on the
+    /// first unplaced operation.
+    fn enter(&mut self, state: M::State, mut lo: usize) -> Result<Node<M::State>, Exhausted> {
         debug_assert!(self.done.count() <= self.ops.len());
         if self.done.is_full() {
-            return Ok(true);
+            return Ok(Node::Complete);
         }
         if self.remaining == 0 {
             return Err(Exhausted);
         }
         self.remaining -= 1;
         if !self.memo.insert((self.done.clone(), state.clone())) {
-            // Same frontier explored before and it failed (success exits
-            // the whole search immediately).
-            return Ok(false);
+            return Ok(Node::Failed);
+        }
+        while self.done.contains(lo) {
+            lo += 1;
         }
         // An operation may linearize next only if no *pending* operation
         // returned before it was invoked (real-time order). All stamps
-        // are unique, so strict comparison is exact.
-        let min_ret = self
-            .ops
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.done.contains(*i))
-            .map(|(_, r)| r.ret)
-            .min()
-            .expect("not full ⇒ at least one pending op");
-        for i in 0..self.ops.len() {
-            let rec = self.ops[i];
+        // are unique, so strict comparison is exact. Operations invoked
+        // after the running minimum also return after it, so the scan
+        // stops there.
+        let mut min_ret = u64::MAX;
+        for (i, rec) in self.ops.iter().enumerate().skip(lo) {
             if rec.invoke > min_ret {
-                break; // sorted by invoke: no further candidates
+                break;
             }
-            if self.done.contains(i) {
-                continue;
-            }
-            if let Some(next) = self.model.step(&state, &rec.op) {
-                self.done.insert(i);
-                let found = self.dfs(next)?;
-                self.done.remove(i);
-                if found {
-                    return Ok(true);
-                }
+            if !self.done.contains(i) {
+                min_ret = min_ret.min(rec.ret);
             }
         }
-        Ok(false)
+        Ok(Node::Open(Frame {
+            state,
+            lo,
+            min_ret,
+            next: lo,
+            placed: None,
+        }))
     }
 }
 
@@ -237,6 +305,26 @@ mod tests {
         use QueueOp::*;
         let h = hist(&[(Enqueue(1), 0, 1), (Dequeue(Some(1)), 2, 3)]);
         assert_eq!(check_with_budget(&QueueModel, &h, 1), Outcome::Unknown);
+    }
+
+    /// A long history must not grow the call stack: one enqueue, one
+    /// dequeue, then 32k empty dequeues, checked on a 2 MiB thread.
+    #[test]
+    fn long_history_is_checked_on_a_small_stack() {
+        use QueueOp::*;
+        const EMPTIES: u64 = 32_000;
+        let mut spec = vec![(Enqueue(1), 0, 1), (Dequeue(Some(1)), 2, 3)];
+        for k in 0..EMPTIES {
+            spec.push((Dequeue(None), 4 + 2 * k, 5 + 2 * k));
+        }
+        let h = hist(&spec);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || check(&QueueModel, &h))
+            .expect("spawn checker thread")
+            .join()
+            .expect("checker thread panicked");
+        assert_eq!(outcome, Outcome::Linearizable);
     }
 
     #[test]

@@ -26,7 +26,7 @@ const WORKERS_PER_GEN: usize = 4; // == SLOTS: each generation fills the pool
 const ITEMS_PER_WORKER: usize = 5_000;
 
 fn main() {
-    let queue: WfQueue<u64> = WfQueue::new(SLOTS);
+    let mut queue: WfQueue<u64> = WfQueue::new(SLOTS);
     let balance = AtomicU64::new(0);
 
     for generation in 0..GENERATIONS {

@@ -6,13 +6,12 @@
 //! completed dequeues carry their value in the operation descriptor, so
 //! a removed node can be retired immediately.
 //!
-//! `WfQueueHp` is that design. This example contrasts it with the
-//! epoch-based `WfQueue`, showing that under a *stalled reader* the
-//! epoch collector stops reclaiming (epochs cannot advance past a
-//! pinned thread — reclamation is only lock-free), while the hazard
-//! domain keeps freeing everything except the few objects actually
-//! covered by the stalled thread's three hazard slots — reclamation
-//! stays wait-free, matching the queue's own guarantee.
+//! `WfQueue` (alias `WfQueueHp`) is that design. This example shows the
+//! hazard domain reclaiming while the workload runs: a stalled thread
+//! would keep back only the objects its two hazard slots cover, so
+//! reclamation stays wait-free, matching the queue's own guarantee
+//! (an epoch collector, by contrast, stops reclaiming behind one
+//! pinned thread — reclamation there is only lock-free).
 //!
 //! ```text
 //! cargo run --release --example no_gc
@@ -60,7 +59,7 @@ fn main() {
     );
 
     // Wait-freedom extends to memory: a thread parked while holding
-    // protections delays at most the objects its 3 hazard slots cover.
+    // protections delays at most the objects its 2 hazard slots cover.
     assert!(
         total_reclaimed > 0,
         "reclamation must happen concurrently with the workload"

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Records the perf baseline: builds the harness in release mode and runs
-# the `bench_record` binary, which sweeps the slow-path grid
-# ({epoch, HP} x {base, opt(1+2)} x {reuse, alloc} x {pairs, 50-50}),
-# the fast-path ablation cells (wf-fast vs wf-epoch opt_both,
-# wf-fast-hp vs wf-hp opt_both), and the reaper ablation
-# (opt_both+reap vs opt_both, plus an abandoned-handle reap-latency
-# probe), the three-way engine shootout (wCQ vs both KP variants,
-# plus the stalled-reader residency probe), and the channel
-# shard x batch sweep with its open-loop p50/p99/p999 latency pass,
+# the `bench_record` binary, which sweeps the slow-path grid of the
+# one KP queue ({base, opt(1+2)} x {reuse, alloc} x {pairs, 50-50}),
+# the fast-path ablation cells (wf-fast vs wf opt_both), and the reaper
+# ablation (opt_both+reap vs opt_both, plus an abandoned-handle
+# reap-latency probe), the three-way engine shootout (wCQ vs the KP
+# slow and fast paths, plus the stalled-reader residency probe), and
+# the channel shard x batch sweep with its open-loop p50/p99/p999
+# latency pass,
 # writing throughput, allocs/op, fallback rates, reap/quarantine
 # counts, and latency columns — plus the overload ablation (parked
 # bounded send vs a bench-local spin-send, and the KP admission gate

@@ -11,9 +11,7 @@
 #      reduced seed matrix; scripts/torture.sh runs the full sweep)
 #   5. a time-capped kill/restart soak of the reaper rounds
 #      (SOAK_SECS, default 120)
-#   6. the kp-queue build and unit suite with no default features
-#      (stats feature off) to keep the feature matrix honest
-#   7. best-effort sanitizer stages: Miri and ThreadSanitizer run when
+#   6. best-effort sanitizer stages: Miri and ThreadSanitizer run when
 #      the toolchain supports them, skip loudly when it does not
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,8 +50,7 @@ echo "=== chaos smoke (seeded fault injection) ==="
 cargo test --features chaos --release -q --test torture
 
 echo "=== fast-path matrix (DESIGN.md SS12) ==="
-# The fast-path/slow-path split, end to end: unit suites in both
-# variants, the harness fast variants, mixed fast/slow linearizability
+# The fast-path/slow-path split, end to end: the unit suite, the harness fast variants, mixed fast/slow linearizability
 # rounds, and the mid-demotion crash cases from the chaos suite.
 cargo test -p kp-queue --release -q fast
 cargo test -p harness --release -q --lib fast
@@ -65,7 +62,7 @@ echo "=== wCQ engine gate (DESIGN.md SS14) ==="
 # packing/wraparound proptests included), seeded linearizability churn
 # (fast, slow-only and tiny-ring rounds), the chaos kill matrix at every
 # wcq.* site, and the bounded-memory gate (zero allocation under a
-# stalled reader, where the KP engines' backlog grows).
+# stalled reader, where the KP engine's backlog grows).
 cargo test -p wcq --release -q
 cargo test --release -q --test linearizability wcq
 cargo test --features chaos --release -q --test torture wcq
@@ -110,10 +107,6 @@ while [ "$(date +%s)" -lt "$soak_deadline" ]; do
     soak_rounds=$((soak_rounds + 1))
 done
 echo "soak ok: $soak_rounds round(s) within ${SOAK_SECS:-120}s"
-
-echo "=== feature matrix: stats off ==="
-cargo build -p kp-queue --no-default-features
-cargo test -p kp-queue --no-default-features -q
 
 echo "=== miri (best-effort) ==="
 scripts/miri.sh || { echo "ci: miri stage failed" >&2; exit 1; }

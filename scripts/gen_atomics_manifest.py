@@ -58,8 +58,8 @@ SC_TOKEN = (
     "reap token handoff (DESIGN.md SS13.4): token publication, retraction and "
     "the reaper's swap must share the single total order with the lease "
     "transitions, or a reaper could quarantine a token published after "
-    "revocation (erasing a live pin, a use-after-free) or miss a retraction "
-    "and quarantine the recycled slot's live successor thread"
+    "revocation (clearing a live handle's hazards, a use-after-free) or miss a "
+    "retraction and quarantine the recycled slot's live successor's record"
 )
 SC_HAZARD_SCAN = (
     "hazard-pointer scan requirement: the scan's reads must follow the "
@@ -138,7 +138,6 @@ HI = "crates/hazard/tests/integration.rs"
 ID = "crates/idpool/src/lib.rs"
 DESC = "crates/kp-queue/src/desc.rs"
 HA = "crates/kp-queue/src/handle.rs"
-EP = "crates/kp-queue/src/epoch.rs"
 HZ = "crates/kp-queue/src/hazard.rs"
 Q = "crates/kp-queue/src/queue.rs"
 ST = "crates/kp-queue/src/stats.rs"
@@ -248,12 +247,13 @@ TABLE = {
         sc="the retirement must enter the single total order with helpers' SeqCst pending checks, or a helper could act on a blanked descriptor (and two stale-word reapers could both win the election)",
         steps=["ReapClaim"],
     ),
-    # ----- kp-queue/handle.rs (the core handle, both backends) --------
+    # ----- kp-queue/handle.rs (the handle) ---------------------------
     (HA, "alloc_node"): spec("reclamation", WHY_RECYCLE),
-    # ----- kp-queue/queue.rs (the core algorithm, both backends) -----
-    # Head/tail reads that open a loop go through Reclaim::protect (an
-    # epoch.rs load or the hazard crate's protect), so each loop here
-    # starts at the protected node's `next` read.
+    (HA, "drop"): spec("reclamation", "retracts the hazard-record token before the exit completes its operation and before the id can recycle; mirrors register's publication", sc=SC_TOKEN),
+    # ----- kp-queue/queue.rs (the core algorithm) --------------------
+    # Head/tail reads that open a loop go through the hazard crate's
+    # protect, so each loop here starts at the protected node's `next`
+    # read.
     (Q, "next_phase"): spec("doorway", "monotone phase ticket (SS3.3 AtomicCounter policy)", sc=SC_DOORWAY),
     (Q, "help_enq"): {
         ("load", 0): spec("helper-guard", "protected tail's next read classifying settled vs dangling (L70)", sc=SC_HELP),
@@ -283,7 +283,7 @@ TABLE = {
     },
     (Q, "swing_head"): spec("helper-guard", "head swing (L150, model FixHead; also the FAST_DEQUEUER helper swing and the fast owner's best-effort swing, model FastFixHead); the unique winner retires the unlinked sentinel", sc=SC_SWING),
     (Q, "reap_slot"): {
-        ("swap", 0): spec("reclamation", "takes the victim's participant token (epoch participant or hazard record) exactly once, zeroing the slot, so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
+        ("swap", 0): spec("reclamation", "takes the victim's hazard-record token exactly once, zeroing the slot, so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
     },
     (Q, "try_fast_enqueue"): {
         ("load", 0): spec("helper-guard", "fast-path protected tail's next read classifying settled vs dangling", sc=SC_HELP),
@@ -298,20 +298,12 @@ TABLE = {
         ("compare_exchange", 0): spec("linearization", "the fast deq_tid lock CAS (FAST_DEQUEUER marker) -- same L135 linearization point as the slow path", sc=SC_LOCK, steps=["FastLock"]),
     },
     (Q, "drop"): spec("reclamation", WHY_TEARDOWN),
-    (Q, "pressure_hint"): spec("stats", "advisory memory-pressure gauge (retire-cache overflows plus pool overflows) for admission control; Relaxed monotonic counter read, no synchronization intent"),
-    # ----- kp-queue/epoch.rs (the epoch backend) ---------------------
-    (EP, "protect"): spec("helper-guard", "head/tail read opening every help loop and fast-path iteration; the operation's pin is the protection", sc=SC_HELP),
-    (EP, "prologue"): spec("reclamation", "publishes the handle's epoch-participant token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
-    (EP, "quarantine"): spec("reclamation", "publisher scan (DESIGN.md SS13.4): spares the quarantine when any live handle still publishes the victim's token", sc="the scan must be ordered after this reaper's own token swap in the single total order with every other reaper's swap+scan and every handle's publish-before-pin, or two racing reapers could both see the other's not-yet-swapped victim entry and both skip a genuinely wedged quarantine"),
-    (EP, "release"): spec("reclamation", "retracts the epoch token after the exit unpinned, before the id can recycle; mirrors prologue's publication", sc=SC_TOKEN),
-    (EP, "len_approx"): spec("stats", "advisory O(n) walk; Acquire (release half of the append CAS) suffices to dereference initialised nodes"),
-    (EP, "is_empty"): spec("stats", "advisory emptiness probe; same argument as len_approx"),
-    # ----- kp-queue/hazard.rs (the hazard-pointer backend) -----------
-    (HZ, "register"): spec("reclamation", "publishes the new participant's hazard-record token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
+    (Q, "is_empty"): spec("stats", "advisory emptiness probe under a short-lived participant's hazard; Acquire (release half of the append CAS) suffices to see an initialised successor"),
+    (Q, "len_approx"): spec("stats", "O(n) walk under an exclusive borrow (quiescent by construction); Relaxed because no other thread can touch the list"),
+    (Q, "register"): spec("reclamation", "publishes the new participant's hazard-record token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
+    # ----- kp-queue/hazard.rs (the two-token disposal gate) ----------
     (HZ, "consumed"): spec("reclamation", "the value taker's half of the two-token disposal gate (owner epilogue, fast dequeue, reaper claim); AcqRel makes exactly one side observe both tokens and free the node"),
-    (HZ, "leave"): spec("reclamation", "retracts the hazard-record token before the exit completes its operation and before the id can recycle; mirrors register's publication", sc=SC_TOKEN),
     (HZ, "reclaim_into_pool"): spec("reclamation", "scan's half of the two-token disposal gate; AcqRel mirrors consumed"),
-    (HZ, "len_approx_quiescent"): spec("stats", "quiescent-only O(n) walk", sc=SC_QUIESCENT),
     # ----- kp-queue/stats.rs -----------------------------------------
     (ST, "bump"): spec("stats", "monotonic helping counter; no synchronization intent"),
     (ST, "snapshot"): spec("stats", "counter snapshot; Relaxed per-counter reads, no cross-counter consistency promised"),
@@ -325,9 +317,9 @@ TABLE = {
     (NO, "sentinels_have_no_value_and_are_born_consumed"): spec("stats", WHY_TEST),
     (AR, "contended_window_allocs"): spec("stats", "test marker delimiting the measured allocation window"),
     (EX, "main"): spec("stats", "stress-probe progress reporting"),
-    # ----- kp-queue/pool.rs (shared by both backends) ---------------
+    # ----- kp-queue/pool.rs (the node pool) ------------------------
     (PO, "next_free"): spec("reclamation", "reads a free-list link of a node the caller owns (a stash walk, a teardown, a chain being freed); Relaxed because links cross threads only inside a chain published by push_chain's Release CAS and taken by steal's Acquire swap"),
-    (PO, "set_next_free"): spec("reclamation", "links a node the caller exclusively owns into a private chain (retire-cache flush, stash trim, push loop); published only by push_chain's Release CAS"),
+    (PO, "set_next_free"): spec("reclamation", "links a node the caller exclusively owns into a private chain (stash trim, push loop); published only by push_chain's Release CAS"),
     (PO, "has_room"): spec("reclamation", "bounded-pool size check; advisory"),
     (PO, "push_chain"): {
         ("fetch_add", 0): spec("reclamation", "approximate pool length, counted before publication so a racing steal's reset can only under-count"),

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos torture sweep: runs the fault-injection test suite and the
 # seed-matrix torture driver (deterministic crash/stall plans against
-# both queue variants), then proves the chaos feature is zero-cost when
+# the wait-free queue), then proves the chaos feature is zero-cost when
 # disabled. Exits non-zero on any lost value, unreclaimable slot,
 # unplanned death, or wait-freedom watchdog violation. Scale knobs:
 #   SEEDS    comma-separated seed matrix (default: the fixed CI matrix)

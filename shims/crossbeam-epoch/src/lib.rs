@@ -50,21 +50,9 @@ unsafe fn drop_box<T>(ptr: *mut u8) {
 /// Per-thread pin status: `(epoch << 1) | pinned`, plus a liveness flag
 /// so exited threads do not block epoch advancement forever.
 struct Slot {
-    /// Forgery-proof participant identity: a monotonically increasing
-    /// registration sequence number, never reused. Tokens handed out by
-    /// [`participant_token`] are this id — NOT the slot's address — so a
-    /// token taken from a thread that has since exited (its slot freed,
-    /// the allocation possibly recycled for a new participant) can never
-    /// match a different live participant in
-    /// [`participant_is_pinned`] / [`quarantine_participant`].
-    id: usize,
     state: AtomicUsize,
     dead: AtomicUsize,
 }
-
-/// Source of [`Slot::id`]s. Starts at 1 so `0` stays the permanent
-/// "no participant" sentinel.
-static NEXT_PARTICIPANT_ID: AtomicUsize = AtomicUsize::new(1);
 
 struct Global {
     epoch: AtomicUsize,
@@ -86,13 +74,9 @@ fn global() -> &'static Global {
 /// garbage whose tag is at least two epochs old.
 ///
 /// Best-effort by design: if another thread is already collecting, this
-/// call returns immediately instead of queueing on the lock. Blocking
-/// here would turn the hot-path "nudge" callers (`RetireCache`'s
-/// maturity check calls [`advance`] once per failed pop) into a lock
-/// convoy whenever the collector is descheduled mid-scan — on an
-/// oversubscribed host that costs more than the allocations the nudge
-/// exists to avoid. Skipping is always safe: garbage just waits for the
-/// next call.
+/// call returns immediately instead of queueing on the lock, so a
+/// collector descheduled mid-scan never becomes a lock convoy. Skipping
+/// is always safe: garbage just waits for the next call.
 fn collect() {
     let g = global();
     let Ok(mut garbage) = g.garbage.try_lock() else {
@@ -108,10 +92,9 @@ fn collect() {
         })
     };
     let epoch = if can_advance {
-        // CAS, not a store: a racing [`advance`] (which does not take
-        // the garbage lock) may already have moved the epoch further; a
-        // blind store would roll it back. On failure, free against the
-        // older epoch we validated — strictly conservative.
+        // CAS, not a store: a blind store could roll back an epoch a
+        // racing collector already moved further. On failure, free
+        // against the older epoch we validated — strictly conservative.
         let _ = g.epoch.compare_exchange(epoch, epoch + 1, Ordering::SeqCst, Ordering::SeqCst);
         epoch + 1
     } else {
@@ -130,46 +113,6 @@ fn collect() {
     }
 }
 
-/// The current global epoch (starts at 2; see [`advance`]).
-///
-/// Exposed so callers running their own retire caches (e.g. kp-queue's
-/// node recycling) can apply the *same* maturity rule `collect` uses
-/// before freeing: an object retired at epoch `e` is unreachable by
-/// every pinned thread once `e + 2 <= global_epoch()`.
-pub fn global_epoch() -> usize {
-    global().epoch.load(Ordering::SeqCst)
-}
-
-/// Tries to advance the global epoch by one step (it advances only if
-/// every currently pinned thread is pinned at the current epoch).
-/// Alloc-free; safe to call while pinned — a thread pinned at epoch `p`
-/// only ever blocks advancement beyond `p + 1`, never the step this
-/// call attempts.
-///
-/// Deliberately does NOT sweep the garbage list: callers like
-/// `RetireCache::pop_mature` nudge this on their hot path purely to
-/// ripen their own caches, and paying an O(garbage) sweep per nudge
-/// turned the reuse fast path into the slowest configuration on an
-/// oversubscribed host. Sweeping stays with [`collect`] (guard drop
-/// every `LOCAL_BAG_FLUSH` retirements, explicit `flush`, thread exit).
-/// Best-effort: if the registry is contended, returns without
-/// advancing.
-pub fn advance() {
-    let g = global();
-    let Ok(registry) = g.registry.try_lock() else {
-        return;
-    };
-    let epoch = g.epoch.load(Ordering::SeqCst);
-    let can_advance = registry.iter().all(|slot| {
-        let s = slot.state.load(Ordering::SeqCst);
-        s & 1 == 0 || s >> 1 == epoch
-    });
-    if can_advance {
-        // CAS so racing advancers cannot double-bump or roll back.
-        let _ = g.epoch.compare_exchange(epoch, epoch + 1, Ordering::SeqCst, Ordering::SeqCst);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Thread-local participant
 // ---------------------------------------------------------------------
@@ -185,7 +128,6 @@ struct Local {
 impl Local {
     fn new() -> Local {
         let slot = Arc::new(Slot {
-            id: NEXT_PARTICIPANT_ID.fetch_add(1, Ordering::Relaxed),
             state: AtomicUsize::new(0),
             dead: AtomicUsize::new(0),
         });
@@ -212,88 +154,6 @@ impl Drop for Local {
 
 thread_local! {
     static LOCAL: Local = Local::new();
-}
-
-// ---------------------------------------------------------------------
-// Participant introspection and quarantine
-// ---------------------------------------------------------------------
-
-/// An opaque token identifying the calling thread's epoch participant
-/// (its registry slot's registration sequence id). Stable for the
-/// lifetime of the thread; `0` is never a valid token. Returns `0` when
-/// thread-local storage is being torn down.
-///
-/// Tokens exist so an external liveness layer (kp-queue's handle
-/// reaper) can later pass a dead thread's token to
-/// [`quarantine_participant`]. Ids are never reused, so a token that
-/// outlives its thread can only ever fail to match — it cannot be
-/// forged onto an unrelated participant the way a recycled slot
-/// address could.
-pub fn participant_token() -> usize {
-    LOCAL.try_with(|local| local.slot.id).unwrap_or(0)
-}
-
-/// True when the participant behind `token` is currently registered and
-/// pinned. Advisory (the state may change immediately after the load);
-/// used to decide whether a suspected-dead participant is actually
-/// wedging epoch advancement before resorting to
-/// [`quarantine_participant`].
-pub fn participant_is_pinned(token: usize) -> bool {
-    if token == 0 {
-        return false;
-    }
-    let g = global();
-    let registry = match g.registry.lock() {
-        Ok(r) => r,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    registry
-        .iter()
-        .any(|slot| slot.id == token && slot.state.load(Ordering::SeqCst) & 1 == 1)
-}
-
-/// Forcibly marks the participant behind `token` unpinned and dead, so
-/// the global epoch can advance past it and its wedged garbage becomes
-/// collectible. Returns `true` when a matching participant was found.
-///
-/// This exists for *abandoned* participants: a thread that leaked a
-/// [`Guard`] and then died (or is permanently wedged) stays pinned at a
-/// stale epoch forever, blocking reclamation globally. Normal thread
-/// exit self-cleans (the thread-local participant's drop does exactly
-/// what this function does); quarantine is the escape hatch for threads
-/// that never run destructors.
-///
-/// # Safety
-///
-/// The thread behind `token` must never again create, drop, or use an
-/// epoch [`Guard`] (it has exited, or is permanently wedged and will
-/// never resume). If it is alive and pinned, erasing its pin lets the
-/// collector free memory it may still dereference — use-after-free.
-pub unsafe fn quarantine_participant(token: usize) -> bool {
-    if token == 0 {
-        return false;
-    }
-    let g = global();
-    let found = {
-        let registry = match g.registry.lock() {
-            Ok(r) => r,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let mut found = false;
-        for slot in registry.iter() {
-            if slot.id == token {
-                slot.state.store(0, Ordering::SeqCst);
-                slot.dead.store(1, Ordering::SeqCst);
-                found = true;
-                break;
-            }
-        }
-        found
-    };
-    if found {
-        collect();
-    }
-    found
 }
 
 // ---------------------------------------------------------------------
@@ -681,9 +541,8 @@ mod tests {
     use std::sync::Arc as StdArc;
 
     /// Serialises the tests that pin: the epoch is process-global, so a
-    /// test that wedges it (a leaked pin, a participant pinned across a
-    /// thread's lifetime) or waits for it to advance must not overlap
-    /// another test's pins in this binary. Poisoning is ignored — a
+    /// test that waits for it to advance must not overlap another test's
+    /// pins in this binary. Poisoning is ignored — a
     /// failed test must not fail the rest.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static SERIAL: Mutex<()> = Mutex::new(());
@@ -730,94 +589,6 @@ mod tests {
             pin().flush();
         }
         assert_eq!(drops.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn quarantine_unwedges_a_leaked_pin() {
-        let _serial = serial();
-        // A thread leaks a Guard and parks forever: it stays pinned at
-        // its entry epoch, so the global epoch can never advance more
-        // than one step past it. Quarantining the participant removes
-        // the wedge.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (park_tx, park_rx) = std::sync::mpsc::channel::<()>();
-        // Detached on purpose: the thread models one that never exits
-        // (its TLS destructors never run while the test observes it).
-        std::thread::spawn(move || {
-            std::mem::forget(pin()); // leaked guard: pinned forever
-            tx.send(participant_token()).unwrap();
-            let _ = park_rx.recv(); // blocks until the test ends
-        });
-        let token = rx.recv().unwrap();
-        assert!(token != 0);
-        assert!(participant_is_pinned(token));
-        let wedge_epoch = global_epoch();
-        for _ in 0..64 {
-            advance();
-        }
-        assert!(
-            global_epoch() <= wedge_epoch + 1,
-            "a participant pinned at epoch e blocks advancement beyond e+1"
-        );
-        // SAFETY: the victim thread is parked on a channel the test
-        // never signals; it will never touch an epoch guard again.
-        assert!(unsafe { quarantine_participant(token) });
-        assert!(!participant_is_pinned(token));
-        let mut unwedged = false;
-        for _ in 0..10_000 {
-            advance();
-            if global_epoch() > wedge_epoch + 1 {
-                unwedged = true;
-                break;
-            }
-        }
-        assert!(unwedged, "epoch advances once the wedge is quarantined");
-        assert!(
-            !unsafe { quarantine_participant(0) },
-            "token 0 is never valid"
-        );
-        drop(park_tx);
-    }
-
-    #[test]
-    fn stale_token_never_matches_a_new_participant() {
-        let _serial = serial();
-        // Regression: tokens used to be raw Arc addresses of registry
-        // slots, so a dead thread's freed slot could be reallocated at
-        // the same address for a new thread and the stale token would
-        // then name — and quarantine — a live participant. With ids the
-        // stale token must simply stop matching anything.
-        let stale = std::thread::spawn(|| {
-            pin(); // register, then exit cleanly (slot marked dead)
-            participant_token()
-        })
-        .join()
-        .unwrap();
-        assert!(stale != 0);
-        // Churn new participants so a freed slot allocation would get
-        // recycled if addresses were still the identity.
-        for _ in 0..64 {
-            let fresh = std::thread::spawn(move || {
-                std::mem::forget(pin()); // stays registered and pinned
-                let token = participant_token();
-                assert!(token != stale, "participant ids are never reused");
-                token
-            })
-            .join()
-            .unwrap();
-            assert!(
-                !participant_is_pinned(stale),
-                "a dead thread's token matches a live pinned participant"
-            );
-            // SAFETY: the fresh thread has exited; its leaked pin is
-            // exactly what quarantine exists to clear.
-            unsafe { quarantine_participant(fresh) };
-        }
-        // Quarantining the stale token is harmless whether or not the
-        // dead slot is still registered — it can only re-mark a slot
-        // that is already dead, never a live participant.
-        unsafe { quarantine_participant(stale) };
-        assert!(!participant_is_pinned(stale));
     }
 
     #[test]

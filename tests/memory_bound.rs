@@ -1,7 +1,7 @@
 //! The bounded-memory gate: wCQ under a stalled reader (ISSUE 7,
 //! DESIGN.md §14.4).
 //!
-//! The experiment the KP engines fundamentally cannot win: register a
+//! The experiment the KP engine fundamentally cannot win: register a
 //! consumer, let it go silent, and keep producing. KP allocates a node
 //! per enqueue, so the backlog grows the live heap without bound (the
 //! reclamation schemes bound *garbage*, not *backlog*). wCQ allocated
@@ -14,7 +14,7 @@
 
 use kp_channel::{Channel, ChannelConfig, OverloadConfig, TrySendError};
 use kp_queue::Config as KpConfig;
-use kp_queue::{ConcurrentQueue, QueueHandle, WfQueue, WfQueueHp};
+use kp_queue::{ConcurrentQueue, QueueHandle, WfQueue};
 use wcq::{Config as WcqConfig, WcQueue};
 
 #[global_allocator]
@@ -79,7 +79,7 @@ fn stalled_reader_memory_is_bounded_for_wcq_not_for_kp() {
     assert_eq!(live_delta, 0, "wCQ live heap grew under a stalled reader");
     assert_eq!(alloc_delta, 0, "wCQ allocated on the enqueue path");
 
-    // --- KP engines: the same workload grows the live heap ------------
+    // --- KP engine: the same workload grows the live heap -------------
     // A node per enqueue is the design (that is what reclamation is
     // for); under a stalled reader that becomes unbounded backlog. The
     // floor asserted here is deliberately loose — one pointer-word per
@@ -97,22 +97,7 @@ fn stalled_reader_memory_is_bounded_for_wcq_not_for_kp() {
         let growth = alloc_track::live_bytes() as isize - mark;
         assert!(
             growth >= floor,
-            "wf-epoch backlog should grow the heap (grew {growth}, floor {floor})"
-        );
-    }
-
-    {
-        let q: WfQueueHp<u64> = WfQueueHp::with_config(2, KpConfig::opt_both());
-        let _stalled_reader = q.register().unwrap();
-        let mut producer = q.register().unwrap();
-        let mark = alloc_track::live_bytes() as isize;
-        for i in 0..OFFERED {
-            producer.enqueue(i as u64);
-        }
-        let growth = alloc_track::live_bytes() as isize - mark;
-        assert!(
-            growth >= floor,
-            "wf-hp backlog should grow the heap (grew {growth}, floor {floor})"
+            "wf backlog should grow the heap (grew {growth}, floor {floor})"
         );
     }
 
@@ -135,7 +120,7 @@ fn stalled_reader_memory_is_bounded_for_wcq_not_for_kp() {
         let mut rx = chan.receiver(); // stalled: never drains during the window
         let mut tx = chan.sender();
         // Warm: a few accepted sends before the mark (first-touch lazy
-        // state: the engine's first nodes, epoch participant, etc.).
+        // state: the engine's first nodes, hazard record, etc.).
         for i in 0..16u64 {
             tx.try_send(i).unwrap();
         }

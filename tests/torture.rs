@@ -35,7 +35,7 @@ use chaos::{ChaosKill, FaultPlan, ThreadSel};
 use kp_channel::{
     Channel, ChannelConfig, HealthState, OverloadConfig, RecvTimeoutError, SendTimeoutError,
 };
-use kp_queue::{Config, ConcurrentQueue, WfQueue, WfQueueHp};
+use kp_queue::{Config, ConcurrentQueue, WfQueue};
 use linearize::{check, History, Outcome, QueueModel, QueueOp, Recorder};
 use queue_traits::{testing, QueueHandle};
 use wcq::{Config as WcqConfig, WcQueue};
@@ -92,15 +92,17 @@ fn verify_consumed(
     );
 }
 
-/// One crash-torture round, shared by the epoch and hazard-pointer
-/// variants (`$queue` constructs the queue, `$kill_site` names the
-/// instrumented step the victim dies at).
+/// One crash-torture round (`$queue` constructs the queue, `$kill_site`
+/// names the instrumented step the victim dies at).
 ///
 /// Four threads take roles by virtual ID: tids 1 and 2 produce, tids 0
 /// and 3 consume; the plan kills tid 0 at `$kill_site`. Survivors must
 /// finish every operation, the ledger must balance (minus at most one
 /// value the victim's exit cleanup discarded), the victim's virtual ID
 /// must be re-acquirable, and the watchdog budget must hold.
+///
+/// `enqueue = |h, i, v| ...` replaces how producers submit their `i`-th
+/// value `v` (default: `h.enqueue(v)`).
 macro_rules! kill_torture_round {
     ($queue:expr, $kill_site:literal, $kill_victim:expr, $allow_missing_per_kill:expr) => {
         kill_torture_round!(
@@ -108,11 +110,12 @@ macro_rules! kill_torture_round {
             $kill_site,
             $kill_victim,
             $allow_missing_per_kill,
-            per = testing::scaled(3_000)
+            per = testing::scaled(3_000),
+            enqueue = |h, _i, v| h.enqueue(v)
         )
     };
     ($queue:expr, $kill_site:literal, $kill_victim:expr, $allow_missing_per_kill:expr,
-     per = $per:expr) => {{
+     per = $per:expr, enqueue = |$h:ident, $i:ident, $v:ident| $enqueue:expr) => {{
         quiet_chaos_kills();
         const N: usize = 4;
         let per = $per;
@@ -147,7 +150,8 @@ macro_rules! kill_torture_round {
                                 for i in 0..per {
                                     let v = (p * per + i) as u64;
                                     attempted[p].lock().unwrap().push(v);
-                                    h.enqueue(v);
+                                    let ($h, $i, $v) = (&mut h, i, v);
+                                    $enqueue;
                                 }
                             }
                             _ => {
@@ -178,9 +182,9 @@ macro_rules! kill_torture_round {
         assert_eq!(kill_count, 1, "exactly one planned death");
         assert_eq!(report.kills, 1);
 
-        // §3.3 long-lived renaming: the victim's virtual ID (and, for the
-        // HP variant, its hazard record) must be reclaimable — all N
-        // slots acquirable at once after the crash.
+        // §3.3 long-lived renaming: the victim's virtual ID (and its
+        // hazard record) must be reclaimable — all N slots acquirable at
+        // once after the crash.
         let mut survivors: Vec<_> = (0..N)
             .map(|_| q.register().expect("every slot reclaimable after a crash"))
             .collect();
@@ -218,14 +222,18 @@ macro_rules! kill_torture_round {
 /// The acceptance scenario: a dequeuer dies **between dequeue step 1
 /// (lock-sentinel, the L135 `deqTid` CAS) and step 2 (clear-pending)**.
 /// The `kp.clear_pending.deq` site sits exactly in that window — it is
-/// reached only after a locked sentinel was observed.
+/// reached only after a locked sentinel was observed. The allowance is
+/// one value per kill: the victim's exit cleanup may consume-and-discard
+/// one value, or a kill landing after helpers completed the victim's
+/// dequeue but before the victim took the value out of its value node
+/// leaks that value (documented in DESIGN.md).
 #[test]
-fn epoch_dequeuer_killed_between_lock_sentinel_and_clear_pending() {
+fn dequeuer_killed_between_lock_sentinel_and_clear_pending() {
     let report = kill_torture_round!(
         WfQueue::<u64>::with_config(4, Config::opt_both()),
         "kp.clear_pending.deq",
         0,
-        1 // the victim's exit cleanup may consume-and-discard one value
+        1
     );
     assert!(report.total_steps > 0);
 }
@@ -235,36 +243,11 @@ fn epoch_dequeuer_killed_between_lock_sentinel_and_clear_pending() {
 /// cleanup (or a helper) must make it land: **zero** values may go
 /// missing.
 #[test]
-fn epoch_enqueuer_killed_at_swing_tail_loses_nothing() {
+fn enqueuer_killed_at_swing_tail_loses_nothing() {
     kill_torture_round!(
         WfQueue::<u64>::with_config(4, Config::opt_both()),
         "kp.swing_tail",
         1, // tid 1 is a producer
-        0
-    );
-}
-
-/// Same acceptance window on the §3.4 hazard-pointer variant. The
-/// allowance is one value per kill: beyond the exit-cleanup discard, a
-/// kill landing after helpers completed the victim's dequeue but before
-/// the victim read the couriered value out of its descriptor leaks that
-/// value (documented in DESIGN.md).
-#[test]
-fn hp_dequeuer_killed_between_lock_sentinel_and_clear_pending() {
-    kill_torture_round!(
-        WfQueueHp::<u64>::with_config(4, Config::opt_both()),
-        "kp_hp.clear_pending.deq",
-        0,
-        1
-    );
-}
-
-#[test]
-fn hp_enqueuer_killed_at_swing_tail_loses_nothing() {
-    kill_torture_round!(
-        WfQueueHp::<u64>::with_config(4, Config::opt_both()),
-        "kp_hp.swing_tail",
-        1,
         0
     );
 }
@@ -275,40 +258,34 @@ fn hp_enqueuer_killed_at_swing_tail_loses_nothing() {
 /// `FAST_ENQUEUER` to the real tid, and the `kp.fast.demote` site fires
 /// *before* the descriptor publish. Killing there leaves a value that
 /// was recorded as attempted but never entered the queue — the one
-/// legal loss — while the shared structures hold no trace of the op, so
-/// survivors must be completely unaffected.
+/// legal loss (the rebranded node came from the node pool and dies with
+/// the victim, leaked, never published) — while the shared structures
+/// hold no trace of the op, so survivors must be completely unaffected.
+///
+/// The victim reaches the demotion on purpose: every other value of
+/// its goes in through `fast_append_unswung`, whose lagging tail makes
+/// the following budget-1 fast enqueue spend its one iteration on
+/// `help_finish_enq` and demote, unless a peer swung the tail first.
+/// Waiting for interference alone left the planned kill unfired in
+/// 1–2 of 50 runs.
 #[test]
-fn epoch_enqueuer_killed_mid_demotion() {
-    // The demote site only fires on genuine fast-path interference; on a
-    // single-core box the debug-scaled op count can see it fewer than
-    // the plan's skip+1 times, so the kill never lands. Pin the count at
-    // the unscaled 3k ops (validated to fire plenty in both profiles).
+fn enqueuer_killed_mid_demotion() {
     kill_torture_round!(
         WfQueue::<u64>::with_config(4, Config::fast().with_fast_path(1)),
         "kp.fast.demote",
         1, // tid 1 is a producer
         1, // its rebranded-but-unpublished value may vanish
-        per = 3_000
+        per = 3_000,
+        enqueue = |h, i, v| if h.tid() == 1 && i % 2 == 0 {
+            h.fast_append_unswung(v)
+        } else {
+            h.enqueue(v)
+        }
     );
 }
 
-/// The same window on the hazard-pointer variant: the rebranded node
-/// came from the node pool and dies with the victim (leaked, never
-/// published), so beyond that one value the ledger must balance.
-#[test]
-fn hp_enqueuer_killed_mid_demotion() {
-    // Unscaled op count for the same reason as the epoch variant above.
-    kill_torture_round!(
-        WfQueueHp::<u64>::with_config(4, Config::fast().with_fast_path(1)),
-        "kp_hp.fast.demote",
-        1,
-        1,
-        per = 3_000
-    );
-}
-
-/// Every instrumented epoch-variant site, for seeded plans.
-const EPOCH_SITES: &[&str] = &[
+/// Every instrumented slow-path site, for seeded plans.
+const KP_SITES: &[&str] = &[
     "kp.publish",
     "kp.append",
     "kp.clear_pending.enq",
@@ -322,9 +299,9 @@ const EPOCH_SITES: &[&str] = &[
     "idpool.release",
 ];
 
-/// The epoch sites plus the five fast-path sites (DESIGN.md §12), for
-/// seeded plans against a fast-path config.
-const EPOCH_FAST_SITES: &[&str] = &[
+/// The slow-path sites plus the five fast-path sites (DESIGN.md §12),
+/// for seeded plans against a fast-path config.
+const KP_FAST_SITES: &[&str] = &[
     "kp.publish",
     "kp.append",
     "kp.clear_pending.enq",
@@ -343,46 +320,10 @@ const EPOCH_FAST_SITES: &[&str] = &[
     "idpool.release",
 ];
 
-/// Every instrumented hazard-pointer-variant site, for seeded plans: the
-/// same windows as [`EPOCH_SITES`] under the `kp_hp.` prefix.
-const HP_SITES: &[&str] = &[
-    "kp_hp.publish",
-    "kp_hp.append",
-    "kp_hp.clear_pending.enq",
-    "kp_hp.swing_tail",
-    "kp_hp.bind_sentinel",
-    "kp_hp.lock_sentinel",
-    "kp_hp.clear_pending.deq",
-    "kp_hp.clear_pending.deq_empty",
-    "kp_hp.swing_head",
-    "idpool.acquire",
-    "idpool.release",
-];
-
-/// The hazard-pointer sites plus its five fast-path sites.
-const HP_FAST_SITES: &[&str] = &[
-    "kp_hp.publish",
-    "kp_hp.append",
-    "kp_hp.clear_pending.enq",
-    "kp_hp.swing_tail",
-    "kp_hp.bind_sentinel",
-    "kp_hp.lock_sentinel",
-    "kp_hp.clear_pending.deq",
-    "kp_hp.clear_pending.deq_empty",
-    "kp_hp.swing_head",
-    "kp_hp.fast.enq",
-    "kp_hp.fast.swing_tail",
-    "kp_hp.fast.deq",
-    "kp_hp.fast.swing_head",
-    "kp_hp.fast.demote",
-    "idpool.acquire",
-    "idpool.release",
-];
-
 /// Records one small history on a chaos-registered thread group and
 /// checks it against the sequential FIFO model (WGL checker). A macro
 /// rather than a fn so it works for every engine whose handle exposes
-/// an inherent `tid()` (KP epoch/HP and wCQ).
+/// an inherent `tid()` (KP and wCQ).
 macro_rules! record_and_check {
     ($q:expr, $threads:expr, $ops:expr, $seed:expr) => {{
         let q = $q;
@@ -441,7 +382,7 @@ fn linearizable_under_seeded_adversarial_stalls() {
     quiet_chaos_kills();
     const THREADS: usize = 3;
     for seed in [1u64, 7, 42, 1337, 0x5EED] {
-        let session = chaos::install(FaultPlan::seeded(seed, EPOCH_SITES, THREADS, 10));
+        let session = chaos::install(FaultPlan::seeded(seed, KP_SITES, THREADS, 10));
         for round in 0..8 {
             // Fresh queue per round: each checked history must be
             // self-contained (no values left over from a previous round).
@@ -464,49 +405,10 @@ fn linearizable_under_seeded_adversarial_stalls_fast_path() {
     quiet_chaos_kills();
     const THREADS: usize = 3;
     for seed in [3u64, 23, 4242, 0xFA57] {
-        let session = chaos::install(FaultPlan::seeded(seed, EPOCH_FAST_SITES, THREADS, 10));
+        let session = chaos::install(FaultPlan::seeded(seed, KP_FAST_SITES, THREADS, 10));
         for round in 0..6 {
             let q: WfQueue<u64> =
                 WfQueue::with_config(THREADS, Config::fast().with_fast_path(2));
-            record_and_check!(&q, THREADS, 12, seed.wrapping_mul(6364136223846793005).wrapping_add(round));
-        }
-        let report = session.report();
-        assert!(report.stalls > 0, "seeded plan must actually stall (seed {seed})");
-        report.assert_linear_bound(THREADS, 400, 200);
-    }
-}
-
-/// The seeded stall rounds of
-/// [`linearizable_under_seeded_adversarial_stalls`] against the
-/// hazard-pointer variant (`kp_hp.*` and `idpool.*` sites).
-#[test]
-fn linearizable_under_seeded_adversarial_stalls_hp() {
-    quiet_chaos_kills();
-    const THREADS: usize = 3;
-    for seed in [1u64, 7, 42, 1337, 0x5EED] {
-        let session = chaos::install(FaultPlan::seeded(seed, HP_SITES, THREADS, 10));
-        for round in 0..8 {
-            let q: WfQueueHp<u64> = WfQueueHp::with_config(THREADS, Config::opt_both());
-            record_and_check!(&q, THREADS, 12, seed.wrapping_mul(6364136223846793005).wrapping_add(round));
-        }
-        let report = session.report();
-        assert!(report.stalls > 0, "seeded plan must actually stall (seed {seed})");
-        report.assert_linear_bound(THREADS, 400, 200);
-    }
-}
-
-/// The seeded fast-path stall rounds of
-/// [`linearizable_under_seeded_adversarial_stalls_fast_path`] against
-/// the hazard-pointer variant.
-#[test]
-fn linearizable_under_seeded_adversarial_stalls_fast_path_hp() {
-    quiet_chaos_kills();
-    const THREADS: usize = 3;
-    for seed in [3u64, 23, 4242, 0xFA57] {
-        let session = chaos::install(FaultPlan::seeded(seed, HP_FAST_SITES, THREADS, 10));
-        for round in 0..6 {
-            let q: WfQueueHp<u64> =
-                WfQueueHp::with_config(THREADS, Config::fast().with_fast_path(2));
             record_and_check!(&q, THREADS, 12, seed.wrapping_mul(6364136223846793005).wrapping_add(round));
         }
         let report = session.report();
@@ -673,11 +575,15 @@ macro_rules! reuse_aba_round {
     }};
 }
 
-/// Epoch variant: stalled helper vs recycled descriptor cell. Uses the
-/// `ScanAll` base config so thread 0 passes the instrumented window
-/// while helping peers, not only while driving its own op.
+/// Stalled helper vs recycled descriptor cell. Node recycling adds a
+/// second hazard here: the node address packed into the stale word may
+/// have been pooled and republished under a *different* operation, so a
+/// successful stale CAS would graft an old node onto a new op; the
+/// version tag must reject it. Uses the `ScanAll` base config so thread
+/// 0 passes the instrumented window while helping peers, not only while
+/// driving its own op.
 #[test]
-fn epoch_stale_helper_cas_defeated_by_version_tag() {
+fn stale_helper_cas_defeated_by_version_tag() {
     reuse_aba_round!(
         WfQueue::<u64>::with_config(3, Config::base()),
         "kp.append",
@@ -685,14 +591,14 @@ fn epoch_stale_helper_cas_defeated_by_version_tag() {
     );
 }
 
-/// Epoch variant with the roles split (tid 1 only enqueues, tid 2 only
+/// The same with the roles split (tid 1 only enqueues, tid 2 only
 /// dequeues, tid 0 mixes and is the stalled helper): the producer's
 /// nodes are recycled from the consumer's retirements through the
 /// shared pool, so the stale CAS can name a node a *different* thread
-/// retired and republished. 400 warm-up values take the consumer's
-/// retire cache past its flush level, so chains reach the pool.
+/// retired and republished. 400 warm-up values take the consumer past
+/// several hazard scans, so its retirements reach the pool.
 #[test]
-fn epoch_role_split_stale_helper_cas_defeated_by_version_tag() {
+fn role_split_stale_helper_cas_defeated_by_version_tag() {
     reuse_aba_round!(
         WfQueue::<u64>::with_config(3, Config::base()),
         "kp.append",
@@ -702,21 +608,7 @@ fn epoch_role_split_stale_helper_cas_defeated_by_version_tag() {
     );
 }
 
-/// Hazard-pointer variant of the same ABA window. Node recycling adds a
-/// second hazard here: the node address packed into the stale word may
-/// have been pooled and republished under a *different* operation, so a
-/// successful stale CAS would graft an old node onto a new op. The
-/// version tag must reject it identically.
-#[test]
-fn hp_stale_helper_cas_defeated_by_version_tag() {
-    reuse_aba_round!(
-        WfQueueHp::<u64>::with_config(3, Config::base()),
-        "kp_hp.append",
-        "kp_hp.lock_sentinel"
-    );
-}
-
-/// The shared node pool's two sites, hit by both KP variants.
+/// The shared node pool's two sites.
 const POOL_SITES: &[&str] = &["kp.pool.release", "kp.pool.steal"];
 
 /// One producer and one consumer thread move `WINDOWS` × `PER` values
@@ -725,8 +617,8 @@ const POOL_SITES: &[&str] = &["kp.pool.release", "kp.pool.steal"];
 /// steal's swap. Each window starts and ends empty (the threads meet at
 /// a barrier), so every window's recorded history is self-contained
 /// and goes to the WGL checker; the whole run must come out in order,
-/// exactly once. The queue persists across windows, so its retire
-/// caches, pool and stashes carry nodes from window to window.
+/// exactly once. The queue persists across windows, so its hazard
+/// retire lists, pool and stashes carry nodes from window to window.
 macro_rules! pool_handoff_round {
     ($mk_queue:expr, $seed:expr) => {{
         const WINDOWS: usize = 48;
@@ -791,18 +683,16 @@ macro_rules! pool_handoff_round {
 }
 
 /// Seeded stalls at the pool's release and steal sites against a
-/// one-producer / one-consumer split on both variants: the epoch
-/// queue's consumer flushes matured chains that the producer steals,
-/// the HP queue's hazard scans release single nodes into the producer's
-/// refills. Per-producer FIFO, exactly-once and linearizability must
-/// all survive a stalled push racing a steal.
+/// one-producer / one-consumer split: the consumer's hazard scans
+/// release single nodes into the producer's refills. Per-producer FIFO,
+/// exactly-once and linearizability must all survive a stalled push
+/// racing a steal.
 #[test]
-fn pool_handoff_survives_seeded_stalls_on_both_variants() {
+fn pool_handoff_survives_seeded_stalls() {
     quiet_chaos_kills();
     for seed in [5u64, 77, 2024, 0x9001] {
         let session = chaos::install(FaultPlan::seeded(seed, POOL_SITES, 2, 8));
         pool_handoff_round!(WfQueue::<u64>::with_config(2, Config::fast()), seed);
-        pool_handoff_round!(WfQueueHp::<u64>::with_config(2, Config::fast()), seed);
         let report = session.report();
         assert!(
             report.stalls > 0,
@@ -930,8 +820,7 @@ macro_rules! unwind_reuse_round {
     }};
 }
 
-/// The slow-path protocol steps, site-name suffixes shared by both
-/// variants (`kp.` / `kp_hp.` prefixes).
+/// The slow-path protocol steps, as site-name suffixes (`kp.` prefix).
 const SLOW_STEPS: &[&str] = &[
     "publish",
     "append",
@@ -954,7 +843,7 @@ const FAST_STEPS: &[&str] = &[
 ];
 
 #[test]
-fn epoch_handles_stay_usable_after_kills_at_every_slow_site() {
+fn handles_stay_usable_after_kills_at_every_slow_site() {
     for step in SLOW_STEPS {
         let site = format!("kp.{step}");
         unwind_reuse_round!(
@@ -969,33 +858,11 @@ fn epoch_handles_stay_usable_after_kills_at_every_slow_site() {
 /// round covers the five fast-path sites, with budget 1 so every lost
 /// race demotes and `fast.demote` fires reliably.
 #[test]
-fn epoch_handles_stay_usable_after_kills_at_every_fast_site() {
+fn handles_stay_usable_after_kills_at_every_fast_site() {
     for step in FAST_STEPS {
         let site = format!("kp.{step}");
         unwind_reuse_round!(
             WfQueue::<u64>::with_config(3, Config::fast().with_fast_path(1)),
-            site.as_str()
-        );
-    }
-}
-
-#[test]
-fn hp_handles_stay_usable_after_kills_at_every_slow_site() {
-    for step in SLOW_STEPS {
-        let site = format!("kp_hp.{step}");
-        unwind_reuse_round!(
-            WfQueueHp::<u64>::with_config(3, Config::opt_both()),
-            site.as_str()
-        );
-    }
-}
-
-#[test]
-fn hp_handles_stay_usable_after_kills_at_every_fast_site() {
-    for step in FAST_STEPS {
-        let site = format!("kp_hp.{step}");
-        unwind_reuse_round!(
-            WfQueueHp::<u64>::with_config(3, Config::fast().with_fast_path(1)),
             site.as_str()
         );
     }
@@ -1027,11 +894,10 @@ fn hp_handles_stay_usable_after_kills_at_every_fast_site() {
 ///    in-flight value).
 ///
 /// `$storm` seeds the victim's yield-storm period for schedule
-/// diversity; `$min_quarantines` is 2 for the HP variant (every
-/// forgotten handle leaks its active hazard record) and 0 for epoch
-/// (both dead threads exited, so their pins self-cleaned).
+/// diversity. Both reaps must quarantine: every forgotten handle leaks
+/// its active hazard record.
 macro_rules! reap_after_kill_round {
-    ($queue:expr, $site:expr, $hit:expr, $storm:expr, $min_quarantines:expr) => {{
+    ($queue:expr, $site:expr, $hit:expr, $storm:expr) => {{
         quiet_chaos_kills();
         const N: usize = 3;
         let per = testing::scaled(2_000);
@@ -1081,9 +947,9 @@ macro_rules! reap_after_kill_round {
             });
         });
 
-        // Phase 3 — a lone survivor on the test thread (its epoch
-        // participant may reuse a dead thread's registry slot, which is
-        // exactly what the reaper's self-token guard must tolerate).
+        // Phase 3 — a lone survivor on the test thread (its hazard
+        // record may be a dead handle's, once that one is quarantined
+        // and parked for adoption).
         let mut survivor_attempted = Vec::new();
         let mut survivor_sink = Vec::new();
         {
@@ -1106,11 +972,7 @@ macro_rules! reap_after_kill_round {
         let report = session.report();
         assert_eq!(report.kills, 1, "exactly one planned death: {report:?}");
         let stats = q.stats();
-        let min_quarantines: u64 = $min_quarantines;
-        assert!(
-            stats.quarantines >= min_quarantines,
-            "expected {min_quarantines} quarantines: {stats:?}"
-        );
+        assert!(stats.quarantines >= 2, "expected 2 quarantines: {stats:?}");
 
         // The reaped slots (and the survivor's) must be acquirable at
         // once.
@@ -1147,7 +1009,7 @@ macro_rules! reap_after_kill_round {
 const REAP_CFG_PATIENCE: usize = 8;
 
 #[test]
-fn epoch_reaper_reclaims_slot_after_kill_seed_matrix() {
+fn reaper_reclaims_slot_after_kill_seed_matrix() {
     for &storm in &[7u64, 13] {
         // Mid-enqueue: before the step-1 append CAS (descriptor already
         // published — recovery lands the value).
@@ -1159,8 +1021,7 @@ fn epoch_reaper_reclaims_slot_after_kill_seed_matrix() {
             ),
             "kp.append",
             20,
-            storm,
-            0
+            storm
         );
         // Mid-dequeue: the step-1 deqTid CAS.
         reap_after_kill_round!(
@@ -1171,8 +1032,7 @@ fn epoch_reaper_reclaims_slot_after_kill_seed_matrix() {
             ),
             "kp.lock_sentinel",
             20,
-            storm,
-            0
+            storm
         );
         // Mid-demotion: rebranded private node, descriptor not yet
         // published. The wedge's lagging tail makes the victim's first
@@ -1187,49 +1047,7 @@ fn epoch_reaper_reclaims_slot_after_kill_seed_matrix() {
             ),
             "kp.fast.demote",
             0,
-            storm,
-            0
-        );
-    }
-}
-
-#[test]
-fn hp_reaper_reclaims_slot_after_kill_seed_matrix() {
-    for &storm in &[7u64, 13] {
-        reap_after_kill_round!(
-            WfQueueHp::<u64>::with_config(
-                3,
-                Config::opt_both().with_reap_patience(REAP_CFG_PATIENCE)
-                    .with_reap_min_silence_ms(0)
-            ),
-            "kp_hp.append",
-            20,
-            storm,
-            2
-        );
-        reap_after_kill_round!(
-            WfQueueHp::<u64>::with_config(
-                3,
-                Config::opt_both().with_reap_patience(REAP_CFG_PATIENCE)
-                    .with_reap_min_silence_ms(0)
-            ),
-            "kp_hp.lock_sentinel",
-            20,
-            storm,
-            2
-        );
-        reap_after_kill_round!(
-            WfQueueHp::<u64>::with_config(
-                3,
-                Config::fast()
-                    .with_fast_path(1)
-                    .with_reap_patience(REAP_CFG_PATIENCE)
-                    .with_reap_min_silence_ms(0)
-            ),
-            "kp_hp.fast.demote",
-            0,
-            storm,
-            2
+            storm
         );
     }
 }
@@ -1326,26 +1144,10 @@ macro_rules! reap_takeover_round {
 /// (still-pending descriptor / retired-but-leased / fully reaped but
 /// leased), and the takeover path must converge from all three.
 #[test]
-fn epoch_reap_takeover_after_reaper_killed_at_each_reap_site() {
+fn reap_takeover_after_reaper_killed_at_each_reap_site() {
     for site in ["kp.reap.adopt", "kp.reap.retire", "kp.reap.finish"] {
         reap_takeover_round!(
             WfQueue::<u64>::with_config(
-                2,
-                Config::fast()
-                    .with_starvation_patience(usize::MAX)
-                    .with_reap_patience(REAP_CFG_PATIENCE)
-                    .with_reap_min_silence_ms(0)
-            ),
-            site
-        );
-    }
-}
-
-#[test]
-fn hp_reap_takeover_after_reaper_killed_at_each_reap_site() {
-    for site in ["kp_hp.reap.adopt", "kp_hp.reap.retire", "kp_hp.reap.finish"] {
-        reap_takeover_round!(
-            WfQueueHp::<u64>::with_config(
                 2,
                 Config::fast()
                     .with_starvation_patience(usize::MAX)
