@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use kp_queue::{Config, ConcurrentQueue, WfQueueHp};
+use kp_queue::{Config, ConcurrentQueue, WfQueue, WfQueueHp};
 
 /// Patience used throughout: small, so a handful of survivor
 /// operations revoke a silent lease.
@@ -264,4 +264,141 @@ fn hp_node_pool_overflow_is_counted() {
         stats.cache_overflows >= 1,
         "2000 uninterrupted retirements must overflow a 256-cap pool: {stats:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// variants of the abandoned-handle tests above
+// ---------------------------------------------------------------------
+//
+// These three keep the `epoch_` names they had while the suite also ran
+// an epoch-reclaimed queue. Each now covers a case the `hp_*` test of
+// the same scenario does not: a death without thread exit, a dequeue
+// completed by helping rather than adoption, and a poisoned dequeue.
+
+/// The victim "dies" on the survivor's own thread, so no thread exit
+/// follows the death: the dead handle's hazard record is still
+/// quarantined (records belong to handles, not threads), helping
+/// survivors complete its pending enqueue, and its slot is reclaimed.
+#[test]
+fn epoch_survivors_complete_abandoned_enqueue_and_reclaim_slot() {
+    let q: WfQueue<u64> = WfQueue::with_config(3, helping_config());
+    let mut h = q.register().expect("victim registers");
+    h.enqueue(7);
+    let pending = h.begin_enqueue_unhelped(42);
+    std::mem::forget(pending);
+    std::mem::forget(h);
+
+    let mut survivor = q.register().expect("survivor registers");
+    let mut drained = BTreeSet::new();
+    for i in 0..SPIN_OPS {
+        survivor.enqueue(1_000 + i as u64);
+        if let Some(v) = survivor.dequeue() {
+            drained.insert(v);
+        }
+        if q.stats().reaps >= 1 {
+            break;
+        }
+    }
+    let stats = q.stats();
+    assert!(stats.reaps >= 1, "victim slot never reaped: {stats:?}");
+    assert!(
+        stats.quarantines >= 1,
+        "dead hazard record never quarantined: {stats:?}"
+    );
+    while let Some(v) = survivor.dequeue() {
+        drained.insert(v);
+    }
+    assert!(drained.contains(&7), "victim's completed enqueue lost");
+    assert!(
+        drained.contains(&42),
+        "victim's pending enqueue was never completed by survivors"
+    );
+    let extra1 = q.register().expect("reaped slot reclaimable");
+    let extra2 = q.register().expect("third slot");
+    assert!(q.register().is_err(), "pool must hold exactly 3 slots");
+    drop((extra1, extra2, survivor));
+}
+
+/// A pending *dequeue* completed by helping survivors rather than
+/// adopted: the result waits in the dead owner's state until the reaper
+/// claims and discards it. The dequeue was linearized before any
+/// survivor operation, so the one value missing is the head, 1.
+#[test]
+fn epoch_reaper_claims_abandoned_dequeue_result() {
+    let q: WfQueue<u64> = WfQueue::with_config(2, helping_config());
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut h = q.register().expect("victim registers");
+            for v in 1..=8 {
+                h.enqueue(v);
+            }
+            let pending = h.begin_dequeue_unhelped();
+            std::mem::forget(pending);
+            std::mem::forget(h);
+        })
+        .join()
+        .expect("victim thread exits cleanly");
+
+        let mut survivor = q.register().expect("survivor registers");
+        for i in 0..SPIN_OPS {
+            survivor.enqueue(1_000 + i as u64);
+            if q.stats().reaps >= 1 {
+                break;
+            }
+        }
+        let stats = q.stats();
+        assert!(stats.reaps >= 1, "victim slot never reaped: {stats:?}");
+        let mut drained = BTreeSet::new();
+        while let Some(v) = survivor.dequeue() {
+            assert!(drained.insert(v), "duplicated value {v}");
+        }
+        let missing: Vec<u64> = (1..=8).filter(|v| !drained.contains(v)).collect();
+        assert_eq!(
+            missing,
+            vec![1],
+            "the helped dequeue consumes exactly the head value"
+        );
+        drop(q.register().expect("reaped slot reclaimable"));
+    });
+}
+
+/// Poisoning with a fast-path (non-helping) survivor, checked on a
+/// *dequeue*: the reaped handle's dequeue panics before touching the
+/// queue, the handle drops safely, and its slot serves a successor.
+#[test]
+fn epoch_reaped_handle_is_poisoned_and_drops_safely() {
+    let q: WfQueue<u64> = WfQueue::with_config(3, no_help_config());
+    let mut victim = q.register().expect("victim registers");
+    victim.enqueue(5);
+    let mut survivor = q.register().expect("survivor registers");
+    for i in 0..SPIN_OPS {
+        survivor.enqueue(1_000 + i as u64);
+        if q.stats().reaps >= 1 {
+            break;
+        }
+    }
+    let stats = q.stats();
+    assert!(stats.reaps >= 1, "idle victim never reaped: {stats:?}");
+
+    let err = catch_unwind(AssertUnwindSafe(|| victim.dequeue()))
+        .expect_err("a reaped handle's next operation must panic");
+    let msg = err
+        .downcast_ref::<&str>()
+        .copied()
+        .expect("lease poisoning panics with a static message");
+    assert!(
+        msg.contains("handle reaped"),
+        "unexpected poison message: {msg}"
+    );
+    drop(victim);
+    // The poisoned dequeue took nothing: 5 is still the head.
+    assert_eq!(survivor.dequeue(), Some(5), "poisoned dequeue touched the queue");
+    drop(survivor);
+    let a = q.register().expect("slot 1");
+    let b = q.register().expect("slot 2");
+    let mut c = q.register().expect("reaped slot reclaimable");
+    c.enqueue(77);
+    let drained: Vec<u64> = std::iter::from_fn(|| c.dequeue()).collect();
+    assert_eq!(drained.last(), Some(&77), "queue unusable after reap");
+    drop((a, b, c));
 }
